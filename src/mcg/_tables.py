@@ -77,10 +77,6 @@ def _ident_tables(n: int) -> list[Word]:
     return [(i,) for i in range(1, n + 1)]
 
 
-def _build(n: int, fwd: Sequence[Word], bwd: Sequence[Word]) -> AutPair:
-    return make_aut(tuple(fwd), tuple(bwd))
-
-
 def _signed(plus: AutPair, s: int) -> AutPair:
     if s == 1:
         return plus
@@ -107,7 +103,7 @@ def tw_hole(g: int, p: int, i: int, s: int = 1) -> AutPair:
     fwd, bwd = _ident_tables(n), _ident_tables(n)
     fwd[B - 1] = (B, -A)
     bwd[B - 1] = (B, A)
-    return _signed(_build(n, fwd, bwd), s)
+    return _signed(make_aut(fwd, bwd), s)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +116,7 @@ def tw_through(g: int, p: int, i: int, s: int = 1) -> AutPair:
     fwd, bwd = _ident_tables(n), _ident_tables(n)
     fwd[A - 1] = (A, B)
     bwd[A - 1] = (A, -B)
-    return _signed(_build(n, fwd, bwd), s)
+    return _signed(make_aut(fwd, bwd), s)
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +134,7 @@ def tw_pair(g: int, p: int, i: int, s: int = 1) -> AutPair:
     bwd[B - 1] = (-C, B, A)
     bwd[C - 1] = (-C, B, A, -B, C, B, -A, -B, C)
     bwd[D - 1] = (D, B, -A, -B, C)
-    return _signed(_build(n, fwd, bwd), s)
+    return _signed(make_aut(fwd, bwd), s)
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +148,7 @@ def tw_separating(g: int, p: int, s: int = 1) -> AutPair:
         gk = g_letter(g, k)
         fwd[gk - 1] = concat(U, (gk,), Ui)
         bwd[gk - 1] = concat(Ui, (gk,), U)
-    return _signed(_build(n, fwd, bwd), s)
+    return _signed(make_aut(fwd, bwd), s)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +171,7 @@ def half_twist(g: int, p: int, j: int, s: int = 1) -> AutPair:
         pref = tuple(-g_letter(g, k) for k in range(p - 2, 0, -1))
         fwd[gl - 1] = concat(pref, U, (-gl,))
         bwd[gl - 1] = concat((-gl,), pref, U)
-    return _signed(_build(n, fwd, bwd), s)
+    return _signed(make_aut(fwd, bwd), s)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +199,7 @@ def tw_two_puncture(g: int, p: int, j: int, s: int = 1) -> AutPair:
         ci = invert(c)
         fwd[gl - 1] = concat(c, (gl,), ci)
         bwd[gl - 1] = concat(ci, (gl,), c)
-    return _signed(_build(n, fwd, bwd), s)
+    return _signed(make_aut(fwd, bwd), s)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +233,7 @@ def push_over(g: int, p: int, i: int, s: int = 1) -> AutPair:
         gk = g_letter(g, k)
         fwd[gk - 1] = concat(w, (gk,), wi)
         bwd[gk - 1] = concat(wp, (gk,), wpi)
-    return _signed(_build(n, fwd, bwd), s)
+    return _signed(make_aut(fwd, bwd), s)
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +263,7 @@ def push_through(g: int, p: int, i: int, s: int = 1) -> AutPair:
         gk = g_letter(g, k)
         fwd[gk - 1] = concat(v, (gk,), vi)
         bwd[gk - 1] = concat(vp, (gk,), vpi)
-    return _signed(_build(n, fwd, bwd), s)
+    return _signed(make_aut(fwd, bwd), s)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +288,7 @@ def mirror(g: int, p: int) -> AutPair:
         Qi = invert(Q)
         tab[A - 1] = concat(Q, (B, A, -B, -A, B, -A, -B), Qi)
         tab[B - 1] = concat(Q, (B, A, A, B, -A, -B), Qi)
-    return _build(n, tab, tab)
+    return make_aut(tab, tab)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +301,10 @@ def fold(items: Sequence[AutPair]) -> AutPair:
 
 
 def power_aut(f: AutPair, k: int) -> AutPair:
+    """f^k for k != 0."""
     if k < 0:
         return power_aut(inverse(f), -k)
-    out = AutPair(f.rank, tuple((i,) for i in range(1, f.rank + 1)),
-                  tuple((i,) for i in range(1, f.rank + 1)))
-    for _ in range(k):
-        out = compose(out, f)
-    return out
+    return fold([f] * k)
 
 
 def chain_twist(g: int, p: int, i: int, s: int = 1) -> AutPair:

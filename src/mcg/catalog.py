@@ -12,6 +12,7 @@ with matching permutation and sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from . import _tables as tables
@@ -22,12 +23,12 @@ from .words import (
     abelianized,
     apply_aut,
     compose,
-    conjugacy_witness,
     cyclic_reduce,
     identity_aut,
     inner_witness,
     inverse,
     invert,
+    least_rotation,
 )
 
 SIGMA_ONLY = "SigmaOnly"
@@ -52,11 +53,6 @@ def _gamma_words(model: SurfaceModel) -> list[Word]:
     return out
 
 
-def _oriented_canonical(w: Word) -> Word:
-    core, _ = cyclic_reduce(w)
-    return min(core[r:] + core[:r] for r in range(len(core))) if core else ()
-
-
 def _peripheral_action(model: SurfaceModel, aut: AutPair) -> tuple[tuple[int, ...], int]:
     """Puncture permutation and sign read off the automorphism.
 
@@ -66,12 +62,12 @@ def _peripheral_action(model: SurfaceModel, aut: AutPair) -> tuple[tuple[int, ..
     gammas = _gamma_words(model)
     lookup: dict[Word, tuple[int, int]] = {}
     for m, w in enumerate(gammas, start=1):
-        lookup[_oriented_canonical(w)] = (m, 1)
-        lookup[_oriented_canonical(invert(w))] = (m, -1)
+        lookup[least_rotation(cyclic_reduce(w)[0])] = (m, 1)
+        lookup[least_rotation(cyclic_reduce(invert(w))[0])] = (m, -1)
     perm: list[int] = []
     signs: set[int] = set()
     for k, w in enumerate(gammas, start=1):
-        key = _oriented_canonical(apply_aut(aut, w))
+        key = least_rotation(cyclic_reduce(apply_aut(aut, w))[0])
         if key not in lookup:
             raise ValueError(f"image of puncture loop {k} is not peripheral")
         m, s = lookup[key]
@@ -223,12 +219,12 @@ def inverse_mc(F: MappingClass) -> MappingClass:
 
 
 def power_mc(F: MappingClass, k: int) -> MappingClass:
+    """F^k as one fold of |k| copies of F or of its inverse; F^0 is 1."""
+    if k == 0:
+        return identity_mc(F.model)
     if k < 0:
         return power_mc(inverse_mc(F), -k)
-    out = identity_mc(F.model)
-    for _ in range(k):
-        out = compose_mc(out, F)
-    return out
+    return reduce(compose_mc, [F] * k)
 
 
 def act_on_curve(F: MappingClass, c: CurveClass) -> CurveClass:

@@ -17,6 +17,8 @@ from .words import compose, inverse, inner_witness, make_aut
 from . import reps
 from .catalog import (GLOBAL, MappingClass, _mk, compose_mc, inverse_mc,
                       power_mc, identity_mc, equal, vocabulary)
+from .grammar import (Term, WordAST, WordSyntaxError, evaluate_ast,
+                      merge_terms, parse_word, print_word)
 
 SCHEMA_VERSION = "1"
 
@@ -165,46 +167,6 @@ def certificate_from_dict(data: dict) -> Certificate:
 # witness words
 
 
-def word_to_text(word: Sequence[tuple[str, int]]) -> str:
-    parts = []
-    for name, k in word:
-        if k == 0:
-            continue
-        parts.append(name if k == 1 else f"{name}^{k}")
-    return " ".join(parts) if parts else "1"
-
-
-def _word_merge(word: Sequence[tuple[str, int]]) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for name, k in word:
-        if k == 0:
-            continue
-        if out and out[-1][0] == name:
-            merged = out[-1][1] + k
-            out.pop()
-            if merged:
-                out.append((name, merged))
-        else:
-            out.append((name, k))
-    return out
-
-
-def _word_inverse(word: Sequence[tuple[str, int]]) -> list[tuple[str, int]]:
-    return [(name, -k) for name, k in reversed(word)]
-
-
-def evaluate_word(word: Sequence[tuple[str, int]],
-                  generators: dict[str, MappingClass],
-                  model: SurfaceModel) -> MappingClass:
-    """Leftmost factor applied last, matching the composition convention."""
-    out = identity_mc(model)
-    for name, k in word:
-        if name not in generators:
-            raise ValueError(f"unknown generator {name!r}")
-        out = compose_mc(out, power_mc(generators[name], k))
-    return out
-
-
 @dataclass(frozen=True)
 class SearchLimits:
     depth: int = 12
@@ -240,7 +202,7 @@ def _aut_restore(model: SurfaceModel, payload: dict) -> MappingClass:
 
 def _mim_search(model: SurfaceModel, target: MappingClass,
                 generators: dict[str, MappingClass],
-                limits: SearchLimits) -> Optional[list[tuple[str, int]]]:
+                limits: SearchLimits) -> Optional[WordAST]:
     """Meet-in-the-middle over homology fingerprints.
 
     States are deduplicated by exact automorphism tables; fingerprint
@@ -260,7 +222,7 @@ def _mim_search(model: SurfaceModel, target: MappingClass,
     # forward half: products u; backward half keyed by fingerprint
     back: dict = {}
     back_states = {tab_key(ident): ident}
-    back_words: dict = {tab_key(ident): []}
+    back_words: dict = {tab_key(ident): ()}
     back.setdefault(fp_key(ident), []).append(tab_key(ident))
     frontier = [ident]
     total = 1
@@ -271,12 +233,12 @@ def _mim_search(model: SurfaceModel, target: MappingClass,
         for key in back.get(fp_key(need), []):
             v_mc = back_states[key]
             if equal(need, v_mc):
-                return _word_merge(list(u_word) + list(back_words[key]))
+                return merge_terms(u_word + back_words[key])
         return None
 
-    fwd_states = {tab_key(ident): []}
-    fwd_frontier = [(ident, [])]
-    got = check_join(ident, [])
+    fwd_states = {tab_key(ident): ()}
+    fwd_frontier = [(ident, ())]
+    got = check_join(ident, ())
     if got is not None:
         return got
 
@@ -290,7 +252,7 @@ def _mim_search(model: SurfaceModel, target: MappingClass,
                 key = tab_key(nxt)
                 if key in fwd_states:
                     continue
-                wd = _word_merge(word + [(nm, s)])
+                wd = merge_terms(word + (Term(nm, s),))
                 fwd_states[key] = wd
                 new_fwd.append((nxt, wd))
                 total += 1
@@ -310,7 +272,7 @@ def _mim_search(model: SurfaceModel, target: MappingClass,
                 if key in back_states:
                     continue
                 back_states[key] = nxt
-                back_words[key] = _word_merge([(nm, s)] + word)
+                back_words[key] = merge_terms((Term(nm, s),) + word)
                 back.setdefault(fp_key(nxt), []).append(key)
                 new_back.append(nxt)
                 total += 1
@@ -332,7 +294,7 @@ def synthesize(model: SurfaceModel, target: MappingClass,
                generators: dict[str, MappingClass],
                limits: Optional[SearchLimits] = None,
                target_name: Optional[str] = None,
-               ) -> Optional[tuple[list[tuple[str, int]], Certificate]]:
+               ) -> Optional[tuple[WordAST, Certificate]]:
     """Witness word for target over the named generators, or None when the
     budget runs out.  Absence is never claimed.
 
@@ -346,9 +308,9 @@ def synthesize(model: SurfaceModel, target: MappingClass,
     word = _derive(model, target, generators, limits, transcript)
     if word is None:
         return None
-    word = _word_merge(word)
-    got = evaluate_word(word, generators, model)
-    gate = _equal_step(model, got, target, word_to_text(word), "target")
+    word = merge_terms(word)
+    got = evaluate_ast(word, generators, model)
+    gate = _equal_step(model, got, target, print_word(word), "target")
     transcript.append(gate)
     if not gate["verdict"]:
         raise AssertionError("synthesize produced an unverified witness")
@@ -358,7 +320,7 @@ def synthesize(model: SurfaceModel, target: MappingClass,
         kind="membership",
         target=target_name or target.provenance,
         generators=sorted(generators),
-        witness=word_to_text(word),
+        witness=print_word(word),
         transcript=transcript,
         fingerprints={
             "target": reps.fingerprint(target).as_dict(),
@@ -370,14 +332,14 @@ def synthesize(model: SurfaceModel, target: MappingClass,
 
 def _derive(model: SurfaceModel, target: MappingClass,
             generators: dict[str, MappingClass], limits: SearchLimits,
-            transcript: list[dict]) -> Optional[list[tuple[str, int]]]:
+            transcript: list[dict]) -> Optional[WordAST]:
     for name in sorted(generators):
         if equal(generators[name], target):
             transcript.append({
                 "op": "generator-match", "inputs": [name],
                 "verdict": True,
             })
-            return [(name, 1)]
+            return (Term(name, 1),)
 
     vocab = vocabulary(model)
     label = _vocab_match(model, target, vocab)
@@ -393,7 +355,7 @@ def _derive(model: SurfaceModel, target: MappingClass,
                     "inputs": [label, f"T^{j} E0 T^-{j}"],
                     "verdict": True,
                 })
-                return [("T", j)] + sub + [("T", -j)]
+                return (Term("T", j),) + sub + (Term("T", -j),)
 
     if label and label.startswith("A") and label[1:].isdigit() \
             and "SH1p" in generators:
@@ -407,12 +369,12 @@ def _derive(model: SurfaceModel, target: MappingClass,
                     "inputs": [label, f"SH1p A{i - 1} SH1p^-1"],
                     "verdict": True,
                 })
-                return [("SH1p", 1)] + sub + [("SH1p", -1)]
+                return (Term("SH1p", 1),) + sub + (Term("SH1p", -1),)
 
     word = _mim_search(model, target, generators, limits)
     if word is not None:
         transcript.append({
-            "op": "search", "inputs": [word_to_text(word)],
+            "op": "search", "inputs": [print_word(word)],
             "verdict": True,
         })
     return word
@@ -420,6 +382,13 @@ def _derive(model: SurfaceModel, target: MappingClass,
 
 # ---------------------------------------------------------------------------
 # closure certificates
+
+
+def _gervais_set(g: int, p: int) -> list[str]:
+    """The kernel generators the closure argument needs: B, A1..A2g,
+    E0..E{p-1}."""
+    return ["B"] + [f"A{i}" for i in range(1, 2 * g + 1)] + \
+        [f"E{j}" for j in range(p)]
 
 
 def closure_certificate(kernel_memberships: Sequence[tuple[str, str]],
@@ -441,8 +410,7 @@ def closure_certificate(kernel_memberships: Sequence[tuple[str, str]],
     if required is None:
         if g is None:
             raise ValueError("need either a genus or an explicit required set")
-        required = ["B"] + [f"A{i}" for i in range(1, 2 * g + 1)] + \
-            [f"E{j}" for j in range(p)]
+        required = _gervais_set(g, p)
     witness_map = dict(kernel_memberships)
     transcript: list[dict] = list(membership_transcript or [])
     for name in required:
@@ -482,8 +450,12 @@ def closure_certificate(kernel_memberships: Sequence[tuple[str, str]],
 # end-to-end theorems
 
 
-def _thm_generators(model: SurfaceModel) -> dict[str, MappingClass]:
-    vocab = vocabulary(model)
+def _thm_generators(model: SurfaceModel,
+                    vocab: Optional[dict[str, MappingClass]] = None,
+                    ) -> dict[str, MappingClass]:
+    """B, SH1p and T; pass the vocabulary of model when it is at hand."""
+    if vocab is None:
+        vocab = vocabulary(model)
     sh1p = compose_mc(vocab["S"], vocab["H1p"])
     return {"B": vocab["B"], "SH1p": sh1p, "T": vocab["T"]}
 
@@ -492,11 +464,10 @@ def certify_thm9(model: SurfaceModel,
                  limits: Optional[SearchLimits] = None) -> Certificate:
     """Generation of the full mapping class group by B, SH1p, T."""
     limits = limits or SearchLimits()
-    gens = _thm_generators(model)
     vocab = vocabulary(model)
+    gens = _thm_generators(model, vocab)
     g, p = model.genus, model.punctures
-    targets = ["B"] + [f"A{i}" for i in range(1, 2 * g + 1)] + \
-        [f"E{j}" for j in range(p)]
+    targets = _gervais_set(g, p)
     memberships: list[tuple[str, str]] = []
     transcript: list[dict] = []
     for name in targets:
@@ -508,10 +479,10 @@ def certify_thm9(model: SurfaceModel,
             })
             continue
         word, cert = got
-        memberships.append((name, word_to_text(word)))
+        memberships.append((name, print_word(word)))
         transcript.append({
             "op": "membership",
-            "inputs": {"target": name, "witness": word_to_text(word),
+            "inputs": {"target": name, "witness": print_word(word),
                        "generators": sorted(gens)},
             "verdict": True,
         })
@@ -564,15 +535,19 @@ def verify(cert: Certificate) -> bool:
     vocab = vocabulary(model) if model else {}
     names = dict(vocab)
     if model is not None and model.punctures >= 2:
-        names["SH1p"] = compose_mc(vocab["S"], vocab["H1p"])
-        names["1"] = identity_mc(model)
+        names.update(_thm_generators(model, vocab))
     tables = cert.fingerprints.get("target_tables")
     if model is not None and tables is not None:
         names[cert.target] = _aut_restore(model, tables)
         names["target"] = names[cert.target]
 
-    def resolve(word_text: str) -> MappingClass:
-        return evaluate_word(parse_witness(word_text), names, model)
+    def resolve(word_text: str, allowed) -> Optional[MappingClass]:
+        """The class of a word over allowed names; None if it is malformed."""
+        try:
+            word = parse_word(word_text, names=allowed)
+        except WordSyntaxError:
+            return None
+        return evaluate_ast(word, names, model)
 
     for item in cert.transcript:
         op = item.get("op")
@@ -593,21 +568,17 @@ def verify(cert: Certificate) -> bool:
                 name = item["inputs"]["target"]
                 if name not in names:
                     return False
-                word = parse_witness(item["inputs"]["witness"])
-                allowed = set(cert.generators)
-                if allowed and any(nm not in allowed for nm, _ in word):
-                    return False
-                got = evaluate_word(word, names, model)
-                if not equal(got, names[name]):
+                allowed = names.keys() & set(cert.generators) \
+                    if cert.generators else names
+                got = resolve(item["inputs"]["witness"], allowed)
+                if got is None or not equal(got, names[name]):
                     return False
         elif op == "equal":
             if model is None:
                 return False
-            rhs_label = item["inputs"][1]
-            if rhs_label not in names:
-                return False
-            lhs = resolve(item["inputs"][0])
-            if equal(lhs, names[rhs_label]) != verdict:
+            lhs = resolve(item["inputs"][0], names)
+            rhs = resolve(item["inputs"][1], names)
+            if lhs is None or rhs is None or equal(lhs, rhs) != verdict:
                 return False
         elif op == "sign":
             name = item["inputs"][0]
@@ -620,17 +591,3 @@ def verify(cert: Certificate) -> bool:
         if verdict is not True:
             return False
     return True
-
-
-def parse_witness(text: str) -> list[tuple[str, int]]:
-    """Parse 'NAME^k NAME ...' witness text (the CLI grammar's flat core)."""
-    word: list[tuple[str, int]] = []
-    for tok in text.split():
-        if tok == "1":
-            continue
-        if "^" in tok:
-            name, _, exp = tok.partition("^")
-            word.append((name, int(exp)))
-        else:
-            word.append((tok, 1))
-    return word

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Word grammar: word := term+; term := name | '(' word ')' | term '^' int.
-Whitespace or '*' separates terms.  The leftmost factor is applied last,
-so "S H1p" means the H1p half twist happens first.
+Word grammar: word := term+; term := name | '1' | '(' word ')' | term '^' int.
+Whitespace or '*' separates terms; '1' is the empty word.  The leftmost
+factor is applied last, so "S H1p" means the H1p half twist happens first.
 
 Exit codes: 0 ok/valid, 1 usage, 2 invalid/failed, 3 budget exhausted.
 """
@@ -11,154 +11,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import certify, reps
-from .catalog import (MappingClass, act_on_curve, compose_mc, identity_mc,
-                      power_mc, validate, vocabulary)
+from .catalog import act_on_curve, validate, vocabulary
+from .certify import SCHEMA_VERSION
+from .grammar import WordSyntaxError, evaluate_ast, parse_word, print_word
 from .surface import SurfaceModel, build, curve
-
-SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_BUDGET = 3
-
-
-class WordSyntaxError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at byte {offset}")
-        self.offset = offset
-
-
-# ---------------------------------------------------------------------------
-# word grammar
-
-
-@dataclass(frozen=True)
-class Term:
-    base: Union[str, tuple]
-    exp: int
-
-
-WordAST = tuple[Term, ...]
-
-
-def _tokenize(text: str):
-    # tokens: (kind, value, byte offset)
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace() or ch == "*":
-            i += 1
-            continue
-        if ch in "()":
-            out.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "^":
-            j = i + 1
-            if j < n and text[j] in "+-":
-                j += 1
-            k = j
-            while k < n and text[k].isdigit():
-                k += 1
-            if k == j:
-                raise WordSyntaxError("malformed exponent", i)
-            out.append(("^", int(text[i + 1:k]), i))
-            i = k
-            continue
-        if ch.isalpha() or ch == "_":
-            k = i
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            out.append(("name", text[i:k], i))
-            i = k
-            continue
-        raise WordSyntaxError(f"unexpected character {ch!r}", i)
-    return out
-
-
-def parse_word(text: str, names: Optional[Sequence[str]] = None) -> WordAST:
-    """Parse a generator word; names outside the supplied vocabulary are
-    rejected with a byte offset."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def parse_terms(closing: bool) -> tuple:
-        nonlocal pos
-        terms = []
-        while pos < len(tokens):
-            kind, value, off = tokens[pos]
-            if kind == ")":
-                if not closing:
-                    raise WordSyntaxError("unbalanced parentheses", off)
-                break
-            if kind == "(":
-                pos += 1
-                inner = parse_terms(True)
-                if pos >= len(tokens) or tokens[pos][0] != ")":
-                    raise WordSyntaxError("unbalanced parentheses", off)
-                pos += 1
-                if not inner:
-                    raise WordSyntaxError("empty group", off)
-                terms.append(Term(inner, _exponent()))
-            elif kind == "name":
-                if names is not None and value not in names:
-                    raise WordSyntaxError(
-                        f"unknown generator {value!r}; vocabulary: "
-                        f"{', '.join(sorted(names))}", off)
-                pos += 1
-                terms.append(Term(value, _exponent()))
-            elif kind == "^":
-                raise WordSyntaxError("exponent without a base", off)
-            else:
-                raise WordSyntaxError(f"unexpected token {value!r}", off)
-        return tuple(terms)
-
-    def _exponent() -> int:
-        nonlocal pos
-        exp = 1
-        while pos < len(tokens) and tokens[pos][0] == "^":
-            _, value, off = tokens[pos]
-            exp *= value
-            pos += 1
-        if exp == 0:
-            raise WordSyntaxError("zero exponent", tokens[pos - 1][2])
-        return exp
-
-    ast = parse_terms(False)
-    if pos < len(tokens):
-        raise WordSyntaxError("unbalanced parentheses", tokens[pos][2])
-    if not ast:
-        raise WordSyntaxError("empty word", 0)
-    return ast
-
-
-def print_word(ast: WordAST) -> str:
-    parts = []
-    for term in ast:
-        base = term.base if isinstance(term.base, str) \
-            else f"({print_word(term.base)})"
-        parts.append(base if term.exp == 1 else f"{base}^{term.exp}")
-    return " ".join(parts)
-
-
-def evaluate_ast(ast: WordAST, gens: dict[str, MappingClass],
-                 model: SurfaceModel) -> MappingClass:
-    out = identity_mc(model)
-    for term in ast:
-        if isinstance(term.base, str):
-            mc = gens[term.base]
-        else:
-            mc = evaluate_ast(term.base, gens, model)
-        out = compose_mc(out, power_mc(mc, term.exp))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +50,6 @@ def _model(args) -> SurfaceModel:
     if args.g is None or args.p is None:
         raise UsageError("this command needs --g and --p")
     return build(args.g, args.p)
-
-
-def _workers() -> int:
-    raw = os.environ.get("MCG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 class UsageError(Exception):
@@ -310,10 +167,9 @@ def cmd_sym(args) -> int:
     generates, order = certify.sym_gen_check(perms, p)
     if args.g is not None:
         model = build(args.g, p)
-        vocab = vocabulary(model)
-        sh1p = compose_mc(vocab["S"], vocab["H1p"]) if p >= 2 else None
-        if sh1p is not None and \
-                [list(sh1p.perm), list(vocab["T"].perm)] != perms:
+        gens = certify._thm_generators(model) if p >= 2 else None
+        if gens is not None and \
+                [list(gens["SH1p"].perm), list(gens["T"].perm)] != perms:
             raise UsageError("catalog images disagree with the quotient data")
     _emit({"command": "sym", "p": p, "perms": perms,
            "generates": bool(generates), "order": order}, args,
@@ -322,9 +178,11 @@ def cmd_sym(args) -> int:
 
 
 def _limits(args) -> certify.SearchLimits:
+    default = certify.SearchLimits()
     return certify.SearchLimits(
-        depth=args.max_depth if args.max_depth is not None else 12,
-        max_states=args.max_states if args.max_states is not None else 10 ** 6,
+        depth=args.max_depth if args.max_depth is not None else default.depth,
+        max_states=args.max_states if args.max_states is not None
+        else default.max_states,
     )
 
 
@@ -334,7 +192,7 @@ def cmd_synth(args) -> int:
     if args.target not in vocab:
         raise UsageError(f"unknown target {args.target!r}; vocabulary: "
                          f"{', '.join(sorted(vocab))}")
-    gens = certify._thm_generators(model)
+    gens = certify._thm_generators(model, vocab)
     got = certify.synthesize(model, vocab[args.target], gens,
                              limits=_limits(args), target_name=args.target)
     if got is None:
@@ -344,7 +202,7 @@ def cmd_synth(args) -> int:
         return EXIT_BUDGET
     word, cert = got
     _emit({"command": "synth", "certificate": cert.as_dict()}, args,
-          f"{args.target} = {certify.word_to_text(word)}")
+          f"{args.target} = {print_word(word)}")
     return EXIT_OK
 
 
@@ -381,7 +239,7 @@ def cmd_verify(args) -> int:
         _emit({"command": "verify", "ok": False,
                "error": f"not JSON: {exc}"}, args, f"invalid: not JSON")
         return EXIT_FAILED
-    if "certificate" in data:
+    if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]
     try:
         cert = certify.certificate_from_dict(data)
@@ -474,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _workers()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

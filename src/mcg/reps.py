@@ -35,10 +35,6 @@ def homology(F: MappingClass) -> HomologyMatrix:
     return abelianized(F.aut)
 
 
-def _identity(n: int) -> HomologyMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def symplectic_form(g: int) -> HomologyMatrix:
     """Block-diagonal pairing with one hyperbolic block per handle."""
     n = 2 * g

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _tables as tables
-from .words import Word, apply_aut, cyclic_reduce, invert, reduce_word
+from .words import (Word, apply_aut, cyclic_reduce, invert, least_rotation,
+                    reduce_word)
 
 _CURVE_VOCAB = "a1..a{2g}, b, delta, e0..e{p-1}, n1..n{p-1}"
 
@@ -71,12 +72,8 @@ def canonicalize(raw: Sequence[int]) -> CurveClass:
     core, _ = cyclic_reduce(reduce_word(raw))
     if not core:
         raise ValueError("empty word does not name a curve")
-    best = min(_rotations(core) + _rotations(invert(core)))
+    best = min(least_rotation(core), least_rotation(invert(core)))
     return CurveClass(best)
-
-
-def _rotations(w: Word) -> list[Word]:
-    return [w[r:] + w[:r] for r in range(len(w))]
 
 
 def peripheral(model: SurfaceModel, k: int) -> CurveClass:

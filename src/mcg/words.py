@@ -73,8 +73,9 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return w[i:j], w[:i]
 
 
-def rotations(w: Word) -> list[Word]:
-    return [w[r:] + w[:r] for r in range(len(w))] or [()]
+def least_rotation(w: Word) -> Word:
+    """The lexicographically least rotation of w; () for ()."""
+    return min(w[r:] + w[:r] for r in range(len(w))) if w else ()
 
 
 def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
@@ -125,9 +126,6 @@ class AutPair:
     rank: int
     fwd: tuple[Word, ...]
     bwd: tuple[Word, ...]
-
-    def __call__(self, w: Sequence[int]) -> Word:
-        return _substitute(self.fwd, w)
 
 
 def identity_aut(rank: int) -> AutPair:

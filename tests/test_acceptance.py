@@ -15,6 +15,7 @@ import pytest
 from mcg import certify, cli, reps
 from mcg.catalog import (act_on_curve, compose_mc, equal, identity_mc,
                          inverse_mc, power_mc, twist, validate, vocabulary)
+from mcg.grammar import evaluate_ast
 from mcg.surface import build, curve
 from mcg.words import ad_aut, inner_witness, reduce_word
 
@@ -110,7 +111,7 @@ def test_criterion_06_membership_witnesses():
         if got is None:
             report(6, False, f"{name}: no witness")
         word, cert = got
-        evaluated = certify.evaluate_word(word, gens, m)
+        evaluated = evaluate_ast(word, gens, m)
         if not (equal(evaluated, vocab[name]) and cert.valid
                 and certify.verify(cert)):
             report(6, False, f"{name}: witness fails the gate")

@@ -6,6 +6,7 @@ import pytest
 
 from mcg import certify
 from mcg.catalog import compose_mc, equal, inverse_mc, vocabulary
+from mcg.grammar import Term, evaluate_ast, merge_terms, parse_word, print_word
 from mcg.surface import build
 
 
@@ -110,10 +111,10 @@ def test_synthesize_structured_targets(torus, torus_gens):
                                  target_name=name)
         assert got is not None, name
         word, cert = got
-        assert certify.word_to_text(word) == expected
+        assert print_word(word) == expected
         assert cert.valid
         assert certify.verify(cert)
-        evaluated = certify.evaluate_word(word, torus_gens, torus)
+        evaluated = evaluate_ast(word, torus_gens, torus)
         assert equal(evaluated, vocab[name])
 
 
@@ -133,21 +134,22 @@ def test_mim_search_finds_short_products(torus, torus_gens):
                                certify.SearchLimits(depth=4,
                                                     max_states=20000))
     assert word is not None
-    assert equal(certify.evaluate_word(word, torus_gens, torus), target)
+    assert equal(evaluate_ast(word, torus_gens, torus), target)
 
 
 def test_word_helpers_roundtrip():
-    word = [("B", 1), ("SH1p", -2), ("T", 3)]
-    text = certify.word_to_text(word)
+    word = (Term("B", 1), Term("SH1p", -2), Term("T", 3))
+    text = print_word(word)
     assert text == "B SH1p^-2 T^3"
-    assert certify.parse_witness(text) == word
-    assert certify.parse_witness("1") == []
-    assert certify.word_to_text([]) == "1"
+    assert parse_word(text) == word
+    assert parse_word("1") == ()
+    assert print_word(()) == "1"
 
 
 def test_word_merge_cancels_adjacent():
-    merged = certify._word_merge([("T", 1), ("T", -1), ("B", 2), ("B", 1)])
-    assert merged == [("B", 3)]
+    merged = merge_terms((Term("T", 1), Term("T", -1), Term("B", 2),
+                          Term("B", 1)))
+    assert merged == (Term("B", 3),)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +258,38 @@ def test_verify_rejects_witness_outside_generators(torus):
             # A2 names itself: true as classes, but not a legal witness
             item["inputs"]["witness"] = item["inputs"]["target"]
     assert not certify.verify(certify.certificate_from_dict(data))
+
+
+def _set_witness(data, target, text):
+    for item in data["transcript"]:
+        inputs = item["inputs"]
+        if isinstance(inputs, dict) and inputs.get("target") == target \
+                and "witness" in inputs:
+            inputs["witness"] = text
+    return certify.certificate_from_dict(data)
+
+
+def test_verify_false_on_malformed_witness(torus):
+    text = certify.certify_thm9(torus).to_json()
+    for word in ("B^", "B^x"):
+        forged = _set_witness(json.loads(text), "A1", word)
+        assert certify.verify(forged) is False, word
+
+
+def test_verify_false_on_malformed_equal_label(torus):
+    data = json.loads(certify.certify_thm10(torus).to_json())
+    step = next(item for item in data["transcript"] if item["op"] == "equal")
+    step["inputs"][0] = "TP QQ^-1"
+    assert certify.verify(certify.certificate_from_dict(data)) is False
+
+
+def test_verify_grouped_witness_and_allowlist(torus):
+    text = certify.certify_thm9(torus).to_json()
+    grouped = _set_witness(json.loads(text), "A2", "(SH1p B SH1p^-1)")
+    assert certify.verify(grouped)
+    # A1 is a class of the surface but not one of cert.generators
+    outside = _set_witness(json.loads(text), "A2", "(SH1p A1 SH1p^-1)")
+    assert certify.verify(outside) is False
 
 
 def test_verify_rejects_flipped_verdict(torus):

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from mcg import cli
-from mcg.cli import (Term, WordSyntaxError, evaluate_ast, main, parse_word,
-                     print_word)
+from mcg.cli import main
+from mcg.grammar import (Term, WordSyntaxError, evaluate_ast, parse_word,
+                         print_word)
 from mcg.catalog import equal, vocabulary
 from mcg.surface import build
 
@@ -38,6 +39,16 @@ def test_parse_groups():
     assert ast == (Term((Term("S", 1), Term("H1p", 1)), 3),)
     nested = parse_word("((A1)^2 B)^-1")
     assert nested == (Term((Term((Term("A1", 1),), 2), Term("B", 1)), -1),)
+
+
+def test_parse_identity_term():
+    assert parse_word("1") == ()
+    assert print_word(()) == "1"
+    assert parse_word("B 1 T^-1 (1)^2") == (Term("B", 1), Term("T", -1))
+    for text in ("12", "1B", "()"):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(text)
+        assert exc.value.offset == 0
 
 
 def test_parse_error_offsets():
@@ -231,6 +242,11 @@ def test_cmd_verify_malformed_file(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert code == 1 and "i/o error" in err
+    for scalar in ("5", "true", "null"):
+        path.write_text(scalar)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 2, scalar
+        assert "invalid: certificate payload must be an object" in out
 
 
 def test_cmd_certify_thm10(capsys):
@@ -259,12 +275,3 @@ def test_determinism_byte_identical(capsys):
     b = run(capsys, "certify-thm9", "--g", "1", "--p", "2", "--json",
             "--seed", "7")
     assert a == b
-
-
-def test_threads_env_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("MCG_THREADS", "4")
-    code, _, _ = run(capsys, "sym", "--p", "3")
-    assert code == 0
-    monkeypatch.setenv("MCG_THREADS", "junk")
-    code, _, _ = run(capsys, "sym", "--p", "3")
-    assert code == 0

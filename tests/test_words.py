@@ -19,6 +19,7 @@ from mcg.words import (
     invert,
     is_identity_aut,
     is_reduced,
+    least_rotation,
     make_aut,
     power,
     reduce_word,
@@ -92,6 +93,12 @@ def test_cyclic_reduce_frozen():
     assert cyclic_reduce(()) == ((), ())
     # a word like x1 x2 x1^-1 x2 stops at the first non-matching pair
     assert cyclic_reduce((1, 2, -1, 2)) == ((1, 2, -1, 2), ())
+
+
+def test_least_rotation_frozen():
+    assert least_rotation(()) == ()
+    assert least_rotation((3, 1, 2)) == (1, 2, 3)
+    assert least_rotation((2, -1, 2, -1)) == (-1, 2, -1, 2)
 
 
 @given(reduced_words(), reduced_words())
