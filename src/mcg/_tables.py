@@ -379,6 +379,15 @@ def curve_rotation(g: int, p: int) -> AutPair:
 
 
 @lru_cache(maxsize=None)
+def rotation_power(g: int, p: int, j: int) -> AutPair:
+    """curve_rotation^j for j >= 1, one compose on top of the cached j-1."""
+    if j < 1:
+        raise ValueError("rotation powers start at 1")
+    rot = curve_rotation(g, p)
+    return rot if j == 1 else compose(rot, rotation_power(g, p, j - 1))
+
+
+@lru_cache(maxsize=None)
 def swap_1p(g: int, p: int) -> AutPair:
     """Half twist along the long arc joining the first and last punctures.
 

@@ -16,7 +16,8 @@ from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from . import _tables as tables
-from .surface import CurveClass, SurfaceModel, build, canonicalize, curve, peripheral
+from .surface import (CurveClass, SurfaceModel, canonicalize, check_curve_name,
+                      curve)
 from .words import (
     AutPair,
     Word,
@@ -106,7 +107,7 @@ def identity_mc(model: SurfaceModel) -> MappingClass:
 def twist(model: SurfaceModel, name: str) -> MappingClass:
     """Right-handed Dehn twist about a named catalog curve."""
     g, p = model.genus, model.punctures
-    curve(model, name)  # reject unknown names with the surface's error
+    check_curve_name(model, name)
     if name == "b":
         aut = tables.tw_hole(g, p, 1) if g == 1 else tables.tw_hole(g, p, 2)
         return _mk(model, aut, "B", SIGMA_ONLY)
@@ -120,7 +121,7 @@ def twist(model: SurfaceModel, name: str) -> MappingClass:
     # rotating family: E_j is the E_0 twist transported j steps
     if idx == 0:
         return _mk(model, tables.tw_through(g, p, 1), "E0", SIGMA_ONLY)
-    rot = tables.power_aut(tables.curve_rotation(g, p), idx)
+    rot = tables.rotation_power(g, p, idx)
     aut = compose(rot, compose(tables.tw_through(g, p, 1), inverse(rot)))
     return _mk(model, aut, f"E{idx}", GLOBAL)
 

@@ -8,6 +8,7 @@ the exact-sequence closure argument.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -294,6 +295,8 @@ def synthesize(model: SurfaceModel, target: MappingClass,
                generators: dict[str, MappingClass],
                limits: Optional[SearchLimits] = None,
                target_name: Optional[str] = None,
+               vocab: Optional[dict[str, MappingClass]] = None,
+               memo: Optional[dict] = None,
                ) -> Optional[tuple[WordAST, Certificate]]:
     """Witness word for target over the named generators, or None when the
     budget runs out.  Absence is never claimed.
@@ -302,10 +305,20 @@ def synthesize(model: SurfaceModel, target: MappingClass,
     target into reach (E_j pulls back through powers of T, the chain twists
     climb via SH1p conjugation since the disk-side half twist commutes with
     handle-side twists), then the raw search handles the base cases.
+
+    Pass the vocabulary of model when it is at hand.  Derivations are
+    shared through memo: certify_thm9 passes one memo to every synthesize
+    call it makes, so each kernel target is derived once per certificate.
+    A memo hit replays the steps of the first derivation, so every
+    certificate still carries its full transcript.  A memo must only be
+    shared between calls with the same generators and limits.
     """
     limits = limits or SearchLimits()
+    if vocab is None:
+        vocab = vocabulary(model)
     transcript: list[dict] = []
-    word = _derive(model, target, generators, limits, transcript)
+    word = _derive(model, target, generators, limits, transcript, vocab,
+                   {} if memo is None else memo)
     if word is None:
         return None
     word = merge_terms(word)
@@ -332,7 +345,31 @@ def synthesize(model: SurfaceModel, target: MappingClass,
 
 def _derive(model: SurfaceModel, target: MappingClass,
             generators: dict[str, MappingClass], limits: SearchLimits,
-            transcript: list[dict]) -> Optional[WordAST]:
+            transcript: list[dict], vocab: dict[str, MappingClass],
+            memo: dict) -> Optional[WordAST]:
+    """Memoized derivation: the first call per target derives, later calls
+    replay its word and transcript steps.
+
+    memo maps exact target tables (aut.fwd, perm, sign) to the derived word
+    (None when the budget ran out) and the transcript steps the derivation
+    appended; it is valid for one generator set and one budget.
+    """
+    key = (target.aut.fwd, target.perm, target.sign)
+    if key not in memo:
+        start = len(transcript)
+        word = _derive_once(model, target, generators, limits, transcript,
+                            vocab, memo)
+        memo[key] = (word, tuple(copy.deepcopy(transcript[start:])))
+        return word
+    word, steps = memo[key]
+    transcript.extend(copy.deepcopy(steps))
+    return word
+
+
+def _derive_once(model: SurfaceModel, target: MappingClass,
+                 generators: dict[str, MappingClass], limits: SearchLimits,
+                 transcript: list[dict], vocab: dict[str, MappingClass],
+                 memo: dict) -> Optional[WordAST]:
     for name in sorted(generators):
         if equal(generators[name], target):
             transcript.append({
@@ -341,14 +378,14 @@ def _derive(model: SurfaceModel, target: MappingClass,
             })
             return (Term(name, 1),)
 
-    vocab = vocabulary(model)
     label = _vocab_match(model, target, vocab)
 
     if label and label.startswith("E") and label[1:].isdigit() \
             and "T" in generators:
         j = int(label[1:])
         if j >= 1:
-            sub = _derive(model, vocab["E0"], generators, limits, transcript)
+            sub = _derive(model, vocab["E0"], generators, limits, transcript,
+                          vocab, memo)
             if sub is not None:
                 transcript.append({
                     "op": "conjugation-shortcut",
@@ -362,7 +399,7 @@ def _derive(model: SurfaceModel, target: MappingClass,
         i = int(label[1:])
         if i >= 2:
             sub = _derive(model, vocab[f"A{i - 1}"], generators, limits,
-                          transcript)
+                          transcript, vocab, memo)
             if sub is not None:
                 transcript.append({
                     "op": "conjugation-shortcut",
@@ -470,8 +507,10 @@ def certify_thm9(model: SurfaceModel,
     targets = _gervais_set(g, p)
     memberships: list[tuple[str, str]] = []
     transcript: list[dict] = []
+    memo: dict = {}
     for name in targets:
-        got = synthesize(model, vocab[name], gens, limits)
+        got = synthesize(model, vocab[name], gens, limits, vocab=vocab,
+                         memo=memo)
         if got is None:
             transcript.append({
                 "op": "membership", "inputs": {"target": name},
@@ -564,9 +603,10 @@ def verify(cert: Certificate) -> bool:
             present = "witness" in item["inputs"]
             if op == "kernel-witness" and present != verdict:
                 return False
-            if present and verdict and model is not None:
+            if present and verdict:
+                # a witness is checked on the named surface, never skipped
                 name = item["inputs"]["target"]
-                if name not in names:
+                if model is None or name not in names:
                     return False
                 allowed = names.keys() & set(cert.generators) \
                     if cert.generators else names

@@ -18,7 +18,7 @@ from . import certify, reps
 from .catalog import act_on_curve, validate, vocabulary
 from .certify import SCHEMA_VERSION
 from .grammar import WordSyntaxError, evaluate_ast, parse_word, print_word
-from .surface import SurfaceModel, build, curve
+from .surface import SurfaceModel, build, curve, curve_names
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,17 +121,11 @@ def cmd_act(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     image = act_on_curve(F, c)
-    match = None
-    g, p = model.genus, model.punctures
-    names = [f"a{i}" for i in range(1, 2 * g + 1)] + ["b", "delta"] + \
-            [f"e{j}" for j in range(p)] + [f"n{j}" for j in range(1, p)]
-    for nm in names:
-        if curve(model, nm) == image:
-            match = nm
-            break
+    match = next((nm for nm in curve_names(model) if curve(model, nm) == image),
+                 None)
     report = {
         "command": "act",
-        "surface": {"g": g, "p": p},
+        "surface": {"g": model.genus, "p": model.punctures},
         "word": print_word(ast), "curve": args.curve,
         "image": list(image.word), "image_name": match,
     }
@@ -194,7 +188,8 @@ def cmd_synth(args) -> int:
                          f"{', '.join(sorted(vocab))}")
     gens = certify._thm_generators(model, vocab)
     got = certify.synthesize(model, vocab[args.target], gens,
-                             limits=_limits(args), target_name=args.target)
+                             limits=_limits(args), target_name=args.target,
+                             vocab=vocab)
     if got is None:
         _emit({"command": "synth", "target": args.target,
                "status": "budget exhausted"}, args,

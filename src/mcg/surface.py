@@ -86,6 +86,20 @@ def peripheral(model: SurfaceModel, k: int) -> CurveClass:
     return canonicalize(tables.last_puncture_word(g, p))
 
 
+def curve_names(model: SurfaceModel) -> tuple[str, ...]:
+    """Every catalog curve name of the surface, in catalog order."""
+    g, p = model.genus, model.punctures
+    return (tuple(f"a{i}" for i in range(1, 2 * g + 1)) + ("b", "delta")
+            + tuple(f"e{j}" for j in range(p))
+            + tuple(f"n{j}" for j in range(1, p)))
+
+
+def check_curve_name(model: SurfaceModel, name: str) -> None:
+    """Raise ValueError unless name is one of curve_names(model)."""
+    if name not in curve_names(model):
+        raise ValueError(f"unknown curve {name!r}; expected one of {_CURVE_VOCAB}")
+
+
 def curve(model: SurfaceModel, name: str) -> CurveClass:
     """Look up a named catalog curve.
 
@@ -93,26 +107,18 @@ def curve(model: SurfaceModel, name: str) -> CurveClass:
     separating curve, e0..e{p-1} the rotating family, n{j} the boundary
     of a neighborhood of punctures j, j+1.
     """
+    check_curve_name(model, name)
     g, p = model.genus, model.punctures
     if name == "b":
         return curve(model, "a1") if g == 1 else canonicalize((tables.a_letter(2),))
     if name == "delta":
         return canonicalize(tables.handle_commutators(g))
-    kind, idx = _split_name(name)
-    if kind == "a" and 1 <= idx <= 2 * g:
+    kind, idx = name[:1], int(name[1:])
+    if kind == "a":
         return canonicalize(_chain_word(idx))
-    if kind == "e" and 0 <= idx <= p - 1:
+    if kind == "e":
         return canonicalize(_family_word(g, p, idx))
-    if kind == "n" and 1 <= idx <= p - 1:
-        return canonicalize(_two_puncture_word(g, p, idx))
-    raise ValueError(f"unknown curve {name!r}; expected one of {_CURVE_VOCAB}")
-
-
-def _split_name(name: str) -> tuple[str, int]:
-    kind, digits = name[:1], name[1:]
-    if kind in ("a", "e", "n") and digits.isdigit():
-        return kind, int(digits)
-    return "", -1
+    return canonicalize(_two_puncture_word(g, p, idx))
 
 
 def _chain_word(idx: int) -> Word:
@@ -133,8 +139,7 @@ def _family_word(g: int, p: int, j: int) -> Word:
     seed: Word = (-tables.b_letter(1),)
     if j == 0:
         return seed
-    rot = tables.power_aut(tables.curve_rotation(g, p), j)
-    return apply_aut(rot, seed)
+    return apply_aut(tables.rotation_power(g, p, j), seed)
 
 
 def _two_puncture_word(g: int, p: int, j: int) -> Word:

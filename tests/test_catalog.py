@@ -6,7 +6,8 @@ from mcg.catalog import (act_on_curve, compose_mc, equal, half_twist,
                          half_twist_1p, identity_mc, inverse_mc, power_mc,
                          rho1, rho2, rotation_T, s_product, twist, validate,
                          vocabulary)
-from mcg.surface import build, curve
+from mcg import _tables as tables
+from mcg.surface import build, curve, curve_names
 from mcg.words import apply_aut
 
 GRID = [(1, 2), (1, 3), (2, 2)]
@@ -190,3 +191,26 @@ def test_compose_rejects_mixed_surfaces():
         compose_mc(twist(build(1, 2), "a1"), twist(build(1, 3), "a1"))
     with pytest.raises(ValueError):
         equal(twist(build(1, 2), "a1"), twist(build(2, 2), "a1"))
+
+
+@pytest.mark.parametrize("gp", [(1, 2), (1, 5), (2, 2)])
+def test_rotation_power_matches_power_aut(gp):
+    g, p = gp
+    rot = tables.curve_rotation(g, p)
+    for j in range(1, p + 1):
+        assert tables.rotation_power(g, p, j) == tables.power_aut(rot, j), j
+    with pytest.raises(ValueError):
+        tables.rotation_power(g, p, 0)
+
+
+def test_twist_rejects_unknown_names_like_curve(model):
+    names = set(curve_names(model))
+    for nm in ("a0", f"a{2 * model.genus + 1}", f"e{model.punctures}", "n0",
+               "zz", "a01"):
+        assert nm not in names
+        with pytest.raises(ValueError) as from_curve:
+            curve(model, nm)
+        with pytest.raises(ValueError) as from_twist:
+            twist(model, nm)
+        assert str(from_twist.value) == str(from_curve.value)
+        assert str(from_twist.value).startswith(f"unknown curve {nm!r}")

@@ -118,6 +118,52 @@ def test_synthesize_structured_targets(torus, torus_gens):
         assert equal(evaluated, vocab[name])
 
 
+def test_synthesize_records_derivation_steps():
+    m = build(2, 2)
+    vocab = vocabulary(m)
+    gens = certify._thm_generators(m, vocab)
+    for kwargs in ({}, {"vocab": vocab}):
+        word, cert = certify.synthesize(m, vocab["A2"], gens,
+                                        target_name="A2", **kwargs)
+        assert print_word(word) == "SH1p^2 B SH1p B SH1p^-1 B^-1 SH1p^-2"
+        ops = [item["op"] for item in cert.transcript]
+        assert ops == ["search", "conjugation-shortcut", "equal"]
+        assert cert.transcript[0]["inputs"] == [
+            "SH1p B SH1p B SH1p^-1 B^-1 SH1p^-1"]
+        assert certify.verify(cert)
+
+
+def test_synthesize_memo_hit_replays_steps():
+    m = build(2, 2)
+    vocab = vocabulary(m)
+    gens = certify._thm_generators(m, vocab)
+    memo = {}
+    first = certify.synthesize(m, vocab["A2"], gens, vocab=vocab, memo=memo)
+    again = certify.synthesize(m, vocab["A2"], gens, vocab=vocab, memo=memo)
+    assert again[0] == first[0]
+    assert again[1].as_dict() == first[1].as_dict()
+    # replayed steps are copies: editing one certificate leaves the other
+    again[1].transcript[0]["inputs"].append("edited")
+    assert first[1].transcript[0]["inputs"] == [
+        "SH1p B SH1p B SH1p^-1 B^-1 SH1p^-1"]
+
+
+def test_synthesize_memoizes_budget_exhaustion(torus, torus_gens,
+                                               monkeypatch):
+    vocab = vocabulary(torus)
+    tiny = certify.SearchLimits(depth=0, max_states=1)
+    gens = {"T": torus_gens["T"]}
+    calls = []
+    search = certify._mim_search
+    monkeypatch.setattr(certify, "_mim_search",
+                        lambda *a: calls.append(1) or search(*a))
+    memo = {}
+    for _ in range(2):
+        assert certify.synthesize(torus, vocab["DELTA"], gens, limits=tiny,
+                                  vocab=vocab, memo=memo) is None
+    assert len(calls) == 1
+
+
 def test_synthesize_honest_on_budget_exhaustion(torus, torus_gens):
     # a target out of reach at depth 0 yields None, never a false claim
     vocab = vocabulary(torus)
@@ -230,6 +276,37 @@ def test_certify_thm9_torus(torus):
     assert names == {"B", "A1", "A2", "E0", "E1"}
 
 
+def test_certify_thm9_builds_catalog_once(monkeypatch):
+    counts = {"_mim_search": 0, "vocabulary": 0}
+    for name in counts:
+        real = getattr(certify, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(certify, name, counted)
+    cert = certify.certify_thm9(build(2, 2))
+    assert cert.valid
+    assert counts == {"_mim_search": 1, "vocabulary": 1}
+
+
+def test_certify_thm9_genus_two_witnesses():
+    cert = certify.certify_thm9(build(2, 2))
+    got = {item["inputs"]["target"]: item["inputs"]["witness"]
+           for item in cert.transcript if item["op"] == "kernel-witness"}
+    base = "B SH1p B SH1p^-1 B^-1"
+    assert got == {
+        "B": "B",
+        "A1": f"SH1p {base} SH1p^-1",
+        "A2": f"SH1p^2 {base} SH1p^-2",
+        "A3": f"SH1p^3 {base} SH1p^-3",
+        "A4": f"SH1p^4 {base} SH1p^-4",
+        "E0": f"SH1p^2 {base} SH1p^-2",
+        "E1": f"T SH1p^2 {base} SH1p^-2 T^-1",
+    }
+    assert certify.verify(cert)
+
+
 def test_certify_thm10_at_p2_points():
     for g in (1, 2):
         m = build(g, 2)
@@ -290,6 +367,22 @@ def test_verify_grouped_witness_and_allowlist(torus):
     # A1 is a class of the surface but not one of cert.generators
     outside = _set_witness(json.loads(text), "A2", "(SH1p A1 SH1p^-1)")
     assert certify.verify(outside) is False
+
+
+@pytest.mark.parametrize("surface_edit", ["null", "deleted"])
+@pytest.mark.parametrize("garbage", [False, True])
+def test_verify_rejects_certificate_without_surface_genus(torus, surface_edit,
+                                                           garbage):
+    data = json.loads(certify.certify_thm9(torus).to_json())
+    if surface_edit == "null":
+        data["surface"]["g"] = None
+    else:
+        del data["surface"]["g"]
+    if garbage:
+        for item in data["transcript"]:
+            if "witness" in item["inputs"]:
+                item["inputs"]["witness"] = "not a word ^^"
+    assert certify.verify(certify.certificate_from_dict(data)) is False
 
 
 def test_verify_rejects_flipped_verdict(torus):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mcg.surface import CurveClass, build, canonicalize, curve, peripheral
+from mcg.surface import (CurveClass, build, canonicalize, curve, curve_names,
+                         peripheral)
 from mcg.words import concat, conjugate, invert, reduce_word
 
 
@@ -68,6 +69,14 @@ def test_curve_frozen_values_genus_two():
     assert curve(m, "a3").word == canonicalize((-1, -2, 3, 2)).word
     assert curve(m, "a4").word == (-4,)
     assert curve(m, "b").word == (-3,)  # parallel to the second handle loop
+
+
+def test_curve_names_catalog_order():
+    assert curve_names(build(1, 2)) == ("a1", "a2", "b", "delta", "e0", "e1",
+                                        "n1")
+    names = curve_names(build(2, 3))
+    assert names[:6] == ("a1", "a2", "a3", "a4", "b", "delta")
+    assert names[6:] == ("e0", "e1", "e2", "n1", "n2")
 
 
 def test_curve_unknown_name():
