@@ -8,16 +8,15 @@ the exact-sequence closure argument.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .surface import SurfaceModel, build
-from .words import compose, inverse, inner_witness, make_aut
+from .words import compose, inverse, inner_witness
 from . import reps
-from .catalog import (GLOBAL, MappingClass, _mk, compose_mc, inverse_mc,
-                      power_mc, identity_mc, equal, vocabulary)
+from .catalog import (MappingClass, compose_mc, inverse_mc, power_mc,
+                      identity_mc, equal, vocabulary)
 from .grammar import (Term, WordAST, WordSyntaxError, evaluate_ast,
                       merge_terms, parse_word, print_word)
 
@@ -72,8 +71,6 @@ def _chain_order(gens: list[Permutation], p: int) -> int:
         return 1
     point = next(i + 1 for i in range(p) if any(g[i] != i + 1 for g in gens))
     orb = _orbit_transversal(point, gens, p)
-    inv = {g: tuple(sorted(range(1, p + 1), key=lambda i: g[i - 1])) for g in
-           {t for t in orb.values()}}
     stab: set[Permutation] = set()
     for x in sorted(orb):
         for g in gens:
@@ -137,11 +134,14 @@ class Certificate:
         return json.dumps(self.as_dict(), indent=2, sort_keys=False)
 
 
-_FIELDS = ("schema_version", "surface", "kind", "target", "generators",
-           "witness", "transcript", "fingerprints", "preamble")
+_FIELDS = {"schema_version": str, "surface": dict, "kind": str, "target": str,
+           "generators": list, "witness": (str, type(None)),
+           "transcript": list, "fingerprints": dict, "preamble": str}
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    """Certificate of a JSON payload; CertificateError on a missing field
+    or a field of the wrong type."""
     if not isinstance(data, dict):
         raise CertificateError("certificate payload must be an object")
     missing = [f for f in _FIELDS if f not in data]
@@ -149,8 +149,16 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise CertificateError(f"missing fields: {', '.join(missing)}")
     if data["schema_version"] != SCHEMA_VERSION:
         raise CertificateError(f"unsupported schema {data['schema_version']!r}")
-    if not isinstance(data["transcript"], list):
-        raise CertificateError("transcript must be a list")
+    wrong = [f for f, t in _FIELDS.items() if not isinstance(data[f], t)]
+    if wrong:
+        raise CertificateError(f"wrong field types: {', '.join(wrong)}")
+    if not all(isinstance(t, dict) for t in data["transcript"]):
+        raise CertificateError("transcript steps must be objects")
+    if not all(isinstance(n, str) for n in data["generators"]):
+        raise CertificateError("generators must be names")
+    if not all(type(data["surface"].get(k)) in (int, type(None))
+               for k in ("g", "p")):
+        raise CertificateError("surface.g and surface.p must be integers")
     return Certificate(
         schema_version=data["schema_version"],
         surface=dict(data["surface"]),
@@ -174,7 +182,7 @@ class SearchLimits:
     max_states: int = 10 ** 6
 
 
-def _equal_step(model: SurfaceModel, got: MappingClass, want: MappingClass,
+def _equal_step(got: MappingClass, want: MappingClass,
                 label_got: str, label_want: str) -> dict:
     ok = equal(got, want)
     item = {
@@ -186,19 +194,6 @@ def _equal_step(model: SurfaceModel, got: MappingClass, want: MappingClass,
         w = compose(got.aut, inverse(want.aut))
         item["inner_witness"] = list(inner_witness(w) or ())
     return item
-
-
-def _aut_payload(mc: MappingClass) -> dict:
-    return {
-        "fwd": [list(w) for w in mc.aut.fwd],
-        "bwd": [list(w) for w in mc.aut.bwd],
-    }
-
-
-def _aut_restore(model: SurfaceModel, payload: dict) -> MappingClass:
-    aut = make_aut([tuple(w) for w in payload["fwd"]],
-                   [tuple(w) for w in payload["bwd"]])
-    return _mk(model, aut, "target", GLOBAL)
 
 
 def _mim_search(model: SurfaceModel, target: MappingClass,
@@ -283,12 +278,35 @@ def _mim_search(model: SurfaceModel, target: MappingClass,
     return None
 
 
-def _vocab_match(model: SurfaceModel, target: MappingClass,
+def _vocab_match(target: MappingClass,
                  vocab: dict[str, MappingClass]) -> Optional[str]:
     for name in sorted(vocab):
         if equal(vocab[name], target):
             return name
     return None
+
+
+def _kernel_step(target: str, witness: str) -> dict:
+    return {
+        "op": "kernel-witness",
+        "inputs": {"target": target, "witness": witness},
+        "verdict": True,
+    }
+
+
+def _membership_certificate(model: SurfaceModel, name: str,
+                            target: MappingClass, generators: Sequence[str],
+                            witness: str) -> Certificate:
+    return Certificate(
+        schema_version=SCHEMA_VERSION,
+        surface={"g": model.genus, "p": model.punctures},
+        kind="membership",
+        target=name,
+        generators=sorted(generators),
+        witness=witness,
+        transcript=[_kernel_step(name, witness)],
+        fingerprints={"target": reps.fingerprint(target).as_dict()},
+    )
 
 
 def synthesize(model: SurfaceModel, target: MappingClass,
@@ -304,94 +322,77 @@ def synthesize(model: SurfaceModel, target: MappingClass,
     Structured derivations run first: known conjugation identities move the
     target into reach (E_j pulls back through powers of T, the chain twists
     climb via SH1p conjugation since the disk-side half twist commutes with
-    handle-side twists), then the raw search handles the base cases.
+    handle-side twists), then the raw search handles the base cases.  The
+    word passes the exact equality gate before it is returned.
+
+    The membership certificate holds one kernel-witness step.  verify looks
+    the target up by name in vocabulary(model) and reads the witness over
+    B, SH1p, T, so pass target_name and the generators of _thm_generators
+    for a certificate that verifies.
 
     Pass the vocabulary of model when it is at hand.  Derivations are
-    shared through memo: certify_thm9 passes one memo to every synthesize
-    call it makes, so each kernel target is derived once per certificate.
-    A memo hit replays the steps of the first derivation, so every
-    certificate still carries its full transcript.  A memo must only be
-    shared between calls with the same generators and limits.
+    shared through memo, which maps exact target tables to derived words;
+    a memo must only be shared between calls with the same generators and
+    limits.
     """
-    limits = limits or SearchLimits()
     if vocab is None:
         vocab = vocabulary(model)
-    transcript: list[dict] = []
-    word = _derive(model, target, generators, limits, transcript, vocab,
-                   {} if memo is None else memo)
+    word = _witness(model, target, generators, limits or SearchLimits(),
+                    vocab, {} if memo is None else memo)
+    if word is None:
+        return None
+    name = target_name or target.provenance
+    return word, _membership_certificate(model, name, target,
+                                         generators, print_word(word))
+
+
+def _witness(model: SurfaceModel, target: MappingClass,
+             generators: dict[str, MappingClass], limits: SearchLimits,
+             vocab: dict[str, MappingClass], memo: dict) -> Optional[WordAST]:
+    """The derived word for target with adjacent powers merged, checked by
+    exact equality; None when the budget runs out."""
+    word = _derive(model, target, generators, limits, vocab, memo)
     if word is None:
         return None
     word = merge_terms(word)
-    got = evaluate_ast(word, generators, model)
-    gate = _equal_step(model, got, target, print_word(word), "target")
-    transcript.append(gate)
-    if not gate["verdict"]:
-        raise AssertionError("synthesize produced an unverified witness")
-    cert = Certificate(
-        schema_version=SCHEMA_VERSION,
-        surface={"g": model.genus, "p": model.punctures},
-        kind="membership",
-        target=target_name or target.provenance,
-        generators=sorted(generators),
-        witness=print_word(word),
-        transcript=transcript,
-        fingerprints={
-            "target": reps.fingerprint(target).as_dict(),
-            "target_tables": _aut_payload(target),
-        },
-    )
-    return word, cert
+    if not equal(evaluate_ast(word, generators, model), target):
+        raise AssertionError("derivation produced an unverified witness")
+    return word
 
 
 def _derive(model: SurfaceModel, target: MappingClass,
             generators: dict[str, MappingClass], limits: SearchLimits,
-            transcript: list[dict], vocab: dict[str, MappingClass],
-            memo: dict) -> Optional[WordAST]:
+            vocab: dict[str, MappingClass], memo: dict) -> Optional[WordAST]:
     """Memoized derivation: the first call per target derives, later calls
-    replay its word and transcript steps.
+    return its word.
 
     memo maps exact target tables (aut.fwd, perm, sign) to the derived word
-    (None when the budget ran out) and the transcript steps the derivation
-    appended; it is valid for one generator set and one budget.
+    (None when the budget ran out); it is valid for one generator set and
+    one budget.
     """
     key = (target.aut.fwd, target.perm, target.sign)
     if key not in memo:
-        start = len(transcript)
-        word = _derive_once(model, target, generators, limits, transcript,
-                            vocab, memo)
-        memo[key] = (word, tuple(copy.deepcopy(transcript[start:])))
-        return word
-    word, steps = memo[key]
-    transcript.extend(copy.deepcopy(steps))
-    return word
+        memo[key] = _derive_once(model, target, generators, limits, vocab,
+                                 memo)
+    return memo[key]
 
 
 def _derive_once(model: SurfaceModel, target: MappingClass,
                  generators: dict[str, MappingClass], limits: SearchLimits,
-                 transcript: list[dict], vocab: dict[str, MappingClass],
+                 vocab: dict[str, MappingClass],
                  memo: dict) -> Optional[WordAST]:
     for name in sorted(generators):
         if equal(generators[name], target):
-            transcript.append({
-                "op": "generator-match", "inputs": [name],
-                "verdict": True,
-            })
             return (Term(name, 1),)
 
-    label = _vocab_match(model, target, vocab)
+    label = _vocab_match(target, vocab)
 
     if label and label.startswith("E") and label[1:].isdigit() \
             and "T" in generators:
         j = int(label[1:])
         if j >= 1:
-            sub = _derive(model, vocab["E0"], generators, limits, transcript,
-                          vocab, memo)
+            sub = _derive(model, vocab["E0"], generators, limits, vocab, memo)
             if sub is not None:
-                transcript.append({
-                    "op": "conjugation-shortcut",
-                    "inputs": [label, f"T^{j} E0 T^-{j}"],
-                    "verdict": True,
-                })
                 return (Term("T", j),) + sub + (Term("T", -j),)
 
     if label and label.startswith("A") and label[1:].isdigit() \
@@ -399,22 +400,11 @@ def _derive_once(model: SurfaceModel, target: MappingClass,
         i = int(label[1:])
         if i >= 2:
             sub = _derive(model, vocab[f"A{i - 1}"], generators, limits,
-                          transcript, vocab, memo)
+                          vocab, memo)
             if sub is not None:
-                transcript.append({
-                    "op": "conjugation-shortcut",
-                    "inputs": [label, f"SH1p A{i - 1} SH1p^-1"],
-                    "verdict": True,
-                })
                 return (Term("SH1p", 1),) + sub + (Term("SH1p", -1),)
 
-    word = _mim_search(model, target, generators, limits)
-    if word is not None:
-        transcript.append({
-            "op": "search", "inputs": [print_word(word)],
-            "verdict": True,
-        })
-    return word
+    return _mim_search(model, target, generators, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -428,41 +418,43 @@ def _gervais_set(g: int, p: int) -> list[str]:
         [f"E{j}" for j in range(p)]
 
 
-def closure_certificate(kernel_memberships: Sequence[tuple[str, str]],
-                        quotient_images: Sequence[Sequence[int]],
-                        p: int,
-                        g: Optional[int] = None,
-                        required: Optional[Sequence[str]] = None,
-                        generators: Optional[Sequence[str]] = None,
-                        kind: str = "generation",
-                        target: str = "Mod",
-                        membership_transcript: Optional[list[dict]] = None,
-                        ) -> Certificate:
+def closure_certificate(
+        kernel_memberships: Sequence[tuple[str, Optional[str]]],
+        quotient_images: Sequence[Sequence[int]],
+        p: int,
+        g: Optional[int] = None,
+        required: Optional[Sequence[str]] = None,
+        generators: Optional[Sequence[str]] = None,
+        kind: str = "generation",
+        target: str = "Mod",
+) -> Certificate:
     """Assemble the exact-sequence closure argument as a proof object.
 
-    Valid iff every required kernel generator carries a witness word and
-    the quotient images generate the full symmetric group.  The required
-    set defaults to the Gervais set for the given genus.
+    kernel_memberships pairs kernel targets with witness words; a target
+    paired with None is recorded as budget exhausted, and a required target
+    left out as missing.  The transcript holds one kernel-witness step per
+    required target, then one sym_gen_check step.  Valid iff every required
+    kernel generator carries a witness word and the quotient images generate
+    the full symmetric group.  The required set defaults to the Gervais set
+    for the given genus.  The words are recorded as given: certify_thm9
+    checks each one before it gets here, and verify checks them again.
     """
     if required is None:
         if g is None:
             raise ValueError("need either a genus or an explicit required set")
         required = _gervais_set(g, p)
     witness_map = dict(kernel_memberships)
-    transcript: list[dict] = list(membership_transcript or [])
+    transcript: list[dict] = []
     for name in required:
-        if name in witness_map:
-            transcript.append({
-                "op": "kernel-witness",
-                "inputs": {"target": name, "witness": witness_map[name]},
-                "verdict": True,
-            })
+        if witness_map.get(name) is not None:
+            transcript.append(_kernel_step(name, witness_map[name]))
         else:
             transcript.append({
                 "op": "kernel-witness",
                 "inputs": {"target": name},
                 "verdict": False,
-                "error": "missing witness",
+                "error": "budget exhausted" if name in witness_map
+                else "missing witness",
             })
     generates, order = sym_gen_check(quotient_images, p)
     transcript.append({
@@ -497,40 +489,27 @@ def _thm_generators(model: SurfaceModel,
     return {"B": vocab["B"], "SH1p": sh1p, "T": vocab["T"]}
 
 
+def _thm9_certificate(model: SurfaceModel, gens: dict[str, MappingClass],
+                      witnesses: Sequence[tuple[str, Optional[str]]],
+                      ) -> Certificate:
+    images = [list(gens["SH1p"].perm), list(gens["T"].perm)]
+    return closure_certificate(
+        witnesses, images, model.punctures, g=model.genus,
+        generators=sorted(gens), kind="theorem-9", target="Mod")
+
+
 def certify_thm9(model: SurfaceModel,
                  limits: Optional[SearchLimits] = None) -> Certificate:
     """Generation of the full mapping class group by B, SH1p, T."""
     limits = limits or SearchLimits()
     vocab = vocabulary(model)
     gens = _thm_generators(model, vocab)
-    g, p = model.genus, model.punctures
-    targets = _gervais_set(g, p)
-    memberships: list[tuple[str, str]] = []
-    transcript: list[dict] = []
     memo: dict = {}
-    for name in targets:
-        got = synthesize(model, vocab[name], gens, limits, vocab=vocab,
-                         memo=memo)
-        if got is None:
-            transcript.append({
-                "op": "membership", "inputs": {"target": name},
-                "verdict": False, "error": "budget exhausted",
-            })
-            continue
-        word, cert = got
-        memberships.append((name, print_word(word)))
-        transcript.append({
-            "op": "membership",
-            "inputs": {"target": name, "witness": print_word(word),
-                       "generators": sorted(gens)},
-            "verdict": True,
-        })
-    images = [list(gens["SH1p"].perm), list(gens["T"].perm)]
-    return closure_certificate(
-        memberships, images, p, g=g,
-        generators=sorted(gens), kind="theorem-9", target="Mod",
-        membership_transcript=transcript,
-    )
+    witnesses = []
+    for name in _gervais_set(model.genus, model.punctures):
+        word = _witness(model, vocab[name], gens, limits, vocab, memo)
+        witnesses.append((name, None if word is None else print_word(word)))
+    return _thm9_certificate(model, gens, witnesses)
 
 
 def certify_thm10(model: SurfaceModel) -> Certificate:
@@ -544,9 +523,9 @@ def certify_thm10(model: SurfaceModel) -> Certificate:
         "verdict": tp.sign == -1, "sign": tp.sign,
     })
     transcript.append(_equal_step(
-        model, compose_mc(tp, inverse_mc(rho2)), r, "TP RHO2^-1", "R"))
+        compose_mc(tp, inverse_mc(rho2)), r, "TP RHO2^-1", "R"))
     transcript.append(_equal_step(
-        model, compose_mc(r, r), identity_mc(model), "R R", "1"))
+        compose_mc(r, r), identity_mc(model), "R R", "1"))
     return Certificate(
         schema_version=SCHEMA_VERSION,
         surface={"g": model.genus, "p": model.punctures},
@@ -560,74 +539,73 @@ def certify_thm10(model: SurfaceModel) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# replay
+# checking
+
+
+def _witness_text(step: dict) -> Optional[str]:
+    inputs = step.get("inputs")
+    text = inputs.get("witness") if isinstance(inputs, dict) else None
+    return text if isinstance(text, str) else None
+
+
+def _canonical(cert: Certificate) -> str:
+    # JSON with sorted keys: true and 1, or 6 and 6.0, stay distinct
+    return json.dumps(cert.as_dict(), sort_keys=True)
+
+
+def _witness_holds(model: SurfaceModel, text: str,
+                   gens: dict[str, MappingClass], target: MappingClass,
+                   ) -> bool:
+    """Whether text is a word over gens whose class is target."""
+    try:
+        word = parse_word(text, names=gens)
+    except WordSyntaxError:
+        return False
+    return equal(evaluate_ast(word, gens, model), target)
 
 
 def verify(cert: Certificate) -> bool:
-    """Replay every transcript step; true iff all verdicts reproduce and
-    the certificate claims hold."""
+    """Check cert against the certificate its kind calls for on its surface.
+
+    Everything but the witness words is recomputed from the kind and
+    (g, p): the required targets, the generators, the quotient perms, and
+    the verdict and order of every step; a theorem-10 certificate is rebuilt
+    whole.  cert must match the rebuilt certificate exactly, every verdict
+    must be true, and every witness must be a word over B, SH1p, T whose
+    class is the twist it names.  A missing surface, a surface that lacks
+    B, SH1p, T, and an unknown kind fail.
+    """
     if not isinstance(cert, Certificate):
         raise CertificateError("not a certificate")
     g = cert.surface.get("g")
     p = cert.surface.get("p")
-    model = build(g, p) if g else None
-    vocab = vocabulary(model) if model else {}
-    names = dict(vocab)
-    if model is not None and model.punctures >= 2:
-        names.update(_thm_generators(model, vocab))
-    tables = cert.fingerprints.get("target_tables")
-    if model is not None and tables is not None:
-        names[cert.target] = _aut_restore(model, tables)
-        names["target"] = names[cert.target]
-
-    def resolve(word_text: str, allowed) -> Optional[MappingClass]:
-        """The class of a word over allowed names; None if it is malformed."""
+    if g is None or p is None or p < 2:
+        return False
+    try:
+        model = build(g, p)
+    except ValueError:
+        return False
+    if cert.kind == "theorem-10":
+        rebuilt = certify_thm10(model)
+        return cert.valid and _canonical(cert) == _canonical(rebuilt)
+    vocab = vocabulary(model)
+    gens = _thm_generators(model, vocab)
+    if cert.kind == "theorem-9":
+        witnesses = [(name, _witness_text(step)) for name, step
+                     in zip(_gervais_set(g, p), cert.transcript)]
         try:
-            word = parse_word(word_text, names=allowed)
-        except WordSyntaxError:
-            return None
-        return evaluate_ast(word, names, model)
-
-    for item in cert.transcript:
-        op = item.get("op")
-        verdict = item.get("verdict")
-        if op in ("generator-match", "conjugation-shortcut", "search",
-                  "note"):
-            continue
-        if op == "sym_gen_check":
-            perms = [tuple(q) for q in item["inputs"]["perms"]]
-            generates, order = sym_gen_check(perms, item["inputs"]["p"])
-            if generates != verdict or order != item.get("order"):
-                return False
-        elif op in ("kernel-witness", "membership"):
-            present = "witness" in item["inputs"]
-            if op == "kernel-witness" and present != verdict:
-                return False
-            if present and verdict:
-                # a witness is checked on the named surface, never skipped
-                name = item["inputs"]["target"]
-                if model is None or name not in names:
-                    return False
-                allowed = names.keys() & set(cert.generators) \
-                    if cert.generators else names
-                got = resolve(item["inputs"]["witness"], allowed)
-                if got is None or not equal(got, names[name]):
-                    return False
-        elif op == "equal":
-            if model is None:
-                return False
-            lhs = resolve(item["inputs"][0], names)
-            rhs = resolve(item["inputs"][1], names)
-            if lhs is None or rhs is None or equal(lhs, rhs) != verdict:
-                return False
-        elif op == "sign":
-            name = item["inputs"][0]
-            if model is None or name not in names:
-                return False
-            if (names[name].sign == -1) != verdict:
-                return False
-        else:
-            raise CertificateError(f"unknown transcript op {op!r}")
-        if verdict is not True:
+            expected = _thm9_certificate(model, gens, witnesses)
+        except ValueError:   # p beyond the closure bound
             return False
-    return True
+    elif cert.kind == "membership" and cert.target in vocab \
+            and cert.witness is not None:
+        witnesses = [(cert.target, cert.witness)]
+        expected = _membership_certificate(model, cert.target,
+                                           vocab[cert.target], list(gens),
+                                           cert.witness)
+    else:
+        return False
+    # a valid match carries a witness text for every target
+    return (cert.valid and _canonical(cert) == _canonical(expected)
+            and all(_witness_holds(model, text, gens, vocab[name])
+                    for name, text in witnesses))

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mcg import certify
 from mcg.catalog import compose_mc, equal, inverse_mc, vocabulary
@@ -122,30 +123,38 @@ def test_synthesize_records_derivation_steps():
     m = build(2, 2)
     vocab = vocabulary(m)
     gens = certify._thm_generators(m, vocab)
+    want = "SH1p^2 B SH1p B SH1p^-1 B^-1 SH1p^-2"
     for kwargs in ({}, {"vocab": vocab}):
         word, cert = certify.synthesize(m, vocab["A2"], gens,
                                         target_name="A2", **kwargs)
-        assert print_word(word) == "SH1p^2 B SH1p B SH1p^-1 B^-1 SH1p^-2"
-        ops = [item["op"] for item in cert.transcript]
-        assert ops == ["search", "conjugation-shortcut", "equal"]
-        assert cert.transcript[0]["inputs"] == [
-            "SH1p B SH1p B SH1p^-1 B^-1 SH1p^-1"]
+        assert print_word(word) == want
+        assert cert.witness == want
+        assert cert.transcript == [{
+            "op": "kernel-witness",
+            "inputs": {"target": "A2", "witness": want},
+            "verdict": True,
+        }]
+        assert list(cert.fingerprints) == ["target"]
         assert certify.verify(cert)
 
 
-def test_synthesize_memo_hit_replays_steps():
+def test_synthesize_memo_hit_replays_steps(monkeypatch):
     m = build(2, 2)
     vocab = vocabulary(m)
     gens = certify._thm_generators(m, vocab)
+    calls = []
+    search = certify._mim_search
+    monkeypatch.setattr(certify, "_mim_search",
+                        lambda *a: calls.append(1) or search(*a))
     memo = {}
     first = certify.synthesize(m, vocab["A2"], gens, vocab=vocab, memo=memo)
     again = certify.synthesize(m, vocab["A2"], gens, vocab=vocab, memo=memo)
     assert again[0] == first[0]
     assert again[1].as_dict() == first[1].as_dict()
-    # replayed steps are copies: editing one certificate leaves the other
-    again[1].transcript[0]["inputs"].append("edited")
-    assert first[1].transcript[0]["inputs"] == [
-        "SH1p B SH1p B SH1p^-1 B^-1 SH1p^-1"]
+    assert len(calls) == 1
+    # each certificate owns its steps: editing one leaves the other
+    again[1].transcript[0]["inputs"]["witness"] = "edited"
+    assert first[1].transcript[0]["inputs"]["witness"] == print_word(first[0])
 
 
 def test_synthesize_memoizes_budget_exhaustion(torus, torus_gens,
@@ -271,9 +280,11 @@ def test_certify_thm9_torus(torus):
     cert = certify.certify_thm9(torus)
     assert cert.valid
     assert certify.verify(cert)
-    names = {item["inputs"]["target"] for item in cert.transcript
-             if item["op"] == "membership"}
-    assert names == {"B", "A1", "A2", "E0", "E1"}
+    names = [item["inputs"]["target"] for item in cert.transcript
+             if item["op"] == "kernel-witness"]
+    assert names == ["B", "A1", "A2", "E0", "E1"]
+    ops = [item["op"] for item in cert.transcript]
+    assert ops == ["kernel-witness"] * 5 + ["sym_gen_check"]
 
 
 def test_certify_thm9_builds_catalog_once(monkeypatch):
@@ -331,7 +342,7 @@ def test_verify_rejects_witness_outside_generators(torus):
     cert = certify.certify_thm9(torus)
     data = json.loads(cert.to_json())
     for item in data["transcript"]:
-        if item["op"] == "membership" and item["verdict"]:
+        if item["op"] == "kernel-witness" and item["verdict"]:
             # A2 names itself: true as classes, but not a legal witness
             item["inputs"]["witness"] = item["inputs"]["target"]
     assert not certify.verify(certify.certificate_from_dict(data))
@@ -399,6 +410,153 @@ def test_verify_rejects_tampered_order(torus):
         if item["op"] == "sym_gen_check":
             item["order"] = 720
     assert not certify.verify(certify.certificate_from_dict(data))
+
+
+@pytest.fixture(scope="module")
+def real_certificates(torus, torus_gens):
+    """JSON of real certificates: theorem 9 on (1,2) and (1,3), synth A2."""
+    out = {f"thm9 ({g},{p})": certify.certify_thm9(build(g, p)).to_json()
+           for g, p in ((1, 2), (1, 3))}
+    vocab = vocabulary(torus)
+    for name in ("A2", "B"):
+        _, cert = certify.synthesize(torus, vocab[name], torus_gens,
+                                     target_name=name, vocab=vocab)
+        out[f"synth {name}"] = cert.to_json()
+    return out
+
+
+def _kernel_steps(data):
+    return [s for s in data["transcript"] if s["op"] == "kernel-witness"]
+
+
+def _empty_transcript(data):
+    data["transcript"] = []
+
+
+def _self_witnesses_without_generators(data):
+    data["generators"] = []
+    for step in _kernel_steps(data):
+        step["inputs"]["witness"] = step["inputs"]["target"]
+
+
+def _delete_e1(data):
+    data["transcript"] = [s for s in data["transcript"]
+                          if s["inputs"].get("target") != "E1"]
+
+
+def _unknown_kind(data):
+    data["kind"] = "anything"
+
+
+def _unrelated_perms(data):
+    # [[2, 1]] generates S_2 too, but is not the image of SH1p and T
+    data["transcript"][-1]["inputs"]["perms"] = [[2, 1]]
+
+
+def _extra_step_over_a2(data):
+    data["transcript"].append({"op": "equal", "inputs": ["A2", "target"],
+                               "verdict": True})
+
+
+def _b_as_a2(data):
+    data["target"] = "A2"
+    data["transcript"][0]["inputs"]["target"] = "A2"
+
+
+FORGERIES = {
+    "empty-transcript": ("thm9 (1,2)", _empty_transcript),
+    "self-witnesses": ("thm9 (1,2)", _self_witnesses_without_generators),
+    "e1-deleted": ("thm9 (1,2)", _delete_e1),
+    "unknown-kind": ("thm9 (1,2)", _unknown_kind),
+    "unrelated-perms": ("thm9 (1,2)", _unrelated_perms),
+    "non-generator-step": ("synth A2", _extra_step_over_a2),
+    "b-named-a2": ("synth B", _b_as_a2),
+}
+
+
+@pytest.mark.parametrize("forgery", list(FORGERIES))
+def test_verify_rejects_forgery(real_certificates, forgery):
+    source, forge = FORGERIES[forgery]
+    data = json.loads(real_certificates[source])
+    assert certify.verify(certify.certificate_from_dict(data))
+    forge(data)
+    assert certify.verify(certify.certificate_from_dict(data)) is False
+
+
+def test_verify_rejects_membership_over_other_generators(torus, torus_gens):
+    # a true membership claim, but not over B, SH1p, T
+    vocab = vocabulary(torus)
+    gens = {"B": torus_gens["B"], "A2": vocab["A2"]}
+    _, cert = certify.synthesize(torus, vocab["A2"], gens, target_name="A2",
+                                 vocab=vocab)
+    assert cert.witness == "A2" and cert.valid
+    assert certify.verify(cert) is False
+
+
+_WORDS = st.lists(st.tuples(st.sampled_from(["B", "SH1p", "T"]),
+                            st.sampled_from([1, -1, 2])),
+                  min_size=1, max_size=4).map(
+    lambda terms: " ".join(f"{b}^{e}" for b, e in terms))
+_MUTATIONS = ("delete-step", "drop-witness", "replace-witness", "retarget",
+              "flip-verdict", "order", "perms", "kind", "generators")
+
+
+def _mutate(data, mutation, draw):
+    """Apply one mutation that changes what the certificate claims."""
+    steps = data["transcript"]
+    kernel = _kernel_steps(data)
+    sym = [s for s in steps if s["op"] == "sym_gen_check"]
+    g, p = data["surface"]["g"], data["surface"]["p"]
+    if mutation == "delete-step":
+        del steps[draw(st.integers(0, len(steps) - 1))]
+    elif mutation == "drop-witness":
+        del draw(st.sampled_from(kernel))["inputs"]["witness"]
+    elif mutation == "replace-witness":
+        step = draw(st.sampled_from(kernel))
+        word = draw(_WORDS)
+        m = build(g, p)
+        gens = certify._thm_generators(m)
+        assume(not equal(evaluate_ast(parse_word(word), gens, m),
+                         vocabulary(m)[step["inputs"]["target"]]))
+        step["inputs"]["witness"] = word
+    elif mutation == "retarget":
+        step = draw(st.sampled_from(kernel))
+        others = [n for n in certify._gervais_set(g, p)
+                  if n != step["inputs"]["target"]]
+        step["inputs"]["target"] = draw(st.sampled_from(others))
+    elif mutation == "flip-verdict":
+        step = draw(st.sampled_from(steps))
+        step["verdict"] = not step["verdict"]
+    elif mutation == "order":
+        assume(sym)
+        sym[0]["order"] += draw(st.sampled_from([-2, -1, 1, 6]))
+    elif mutation == "perms":
+        assume(sym)
+        perms = draw(st.lists(st.permutations(range(1, p + 1)).map(list),
+                              min_size=1, max_size=3))
+        assume(perms != sym[0]["inputs"]["perms"])
+        sym[0]["inputs"]["perms"] = perms
+    elif mutation == "kind":
+        data["kind"] = draw(st.sampled_from(
+            [k for k in ("theorem-9", "theorem-10", "membership",
+                         "generation", "Theorem-9") if k != data["kind"]]))
+    else:
+        names = data["generators"]
+        if draw(st.booleans()):
+            del names[draw(st.integers(0, len(names) - 1))]
+        else:
+            names.insert(draw(st.integers(0, len(names))),
+                         draw(st.sampled_from(["A1", "R", "SH1p", "1"])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(source=st.sampled_from(["thm9 (1,2)", "thm9 (1,3)", "synth A2"]),
+       mutation=st.sampled_from(_MUTATIONS), data=st.data())
+def test_verify_fuzz_rejects_mutations(real_certificates, source, mutation,
+                                       data):
+    cert = json.loads(real_certificates[source])
+    _mutate(cert, mutation, data.draw)
+    assert certify.verify(certify.certificate_from_dict(cert)) is False
 
 
 def test_preamble_states_closure_reading(torus):

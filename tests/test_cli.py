@@ -265,6 +265,60 @@ def test_cmd_verify_malformed_file(capsys, tmp_path):
         assert "invalid: certificate payload must be an object" in out
 
 
+def _no_inputs(cert):
+    del cert["transcript"][0]["inputs"]
+
+
+def _sym_without_p(cert):
+    del cert["transcript"][-1]["inputs"]["p"]
+
+
+def _step_not_object(cert):
+    cert["transcript"][0] = 5
+
+
+def _surface_list(cert):
+    cert["surface"] = [1]
+
+
+def _genus_text(cert):
+    cert["surface"]["g"] = "1"
+
+
+def _witness_int(cert):
+    cert["transcript"][0]["inputs"]["witness"] = 5
+
+
+@pytest.mark.parametrize("edit", [_no_inputs, _sym_without_p,
+                                  _step_not_object, _surface_list,
+                                  _genus_text, _witness_int],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_cmd_verify_malformed_fields(capsys, tmp_path, edit):
+    path = tmp_path / "cert.json"
+    assert run(capsys, "certify-thm9", "--g", "1", "--p", "2", "--json",
+               "--out", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    edit(data["certificate"])
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and "invalid" in out and err == ""
+
+
+def test_cmd_certify_thm9_budget(capsys):
+    code, out, _ = run(capsys, "certify-thm9", "--g", "2", "--p", "2",
+                       "--max-depth", "1", "--json")
+    assert code == 3
+    steps = json.loads(out)["certificate"]["transcript"]
+    kernel = {s["inputs"]["target"]: s for s in steps
+              if s["op"] == "kernel-witness"}
+    assert list(kernel) == ["B", "A1", "A2", "A3", "A4", "E0", "E1"]
+    assert kernel.pop("B")["inputs"]["witness"] == "B"
+    for name, step in kernel.items():
+        assert step["verdict"] is False, name
+        assert step["error"] == "budget exhausted", name
+        assert "witness" not in step["inputs"], name
+
+
 def test_cmd_certify_thm10(capsys):
     code, out, _ = run(capsys, "certify-thm10", "--g", "2", "--p", "2",
                        "--json")
