@@ -12,7 +12,6 @@ with matching permutation and sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from . import _tables as tables
@@ -220,12 +219,22 @@ def inverse_mc(F: MappingClass) -> MappingClass:
 
 
 def power_mc(F: MappingClass, k: int) -> MappingClass:
-    """F^k as one fold of |k| copies of F or of its inverse; F^0 is 1."""
+    """F^k by repeated squaring of F or of its inverse; F^0 is 1.
+
+    At most 2 floor(log2 |k|) compose_mc calls.  Composition is
+    associative on reduced tables, so the result equals the |k|-fold
+    product, provenance "F·F·…·F" included.
+    """
     if k == 0:
         return identity_mc(F.model)
     if k < 0:
         return power_mc(inverse_mc(F), -k)
-    return reduce(compose_mc, [F] * k)
+    out = F
+    for bit in bin(k)[3:]:
+        out = compose_mc(out, out)
+        if bit == "1":
+            out = compose_mc(out, F)
+    return out
 
 
 def act_on_curve(F: MappingClass, c: CurveClass) -> CurveClass:
@@ -399,25 +408,51 @@ def validate(model: SurfaceModel) -> ValidationReport:
     return ValidationReport(g, p, tuple(items))
 
 
+def _makers(model: SurfaceModel) -> dict[str, tuple]:
+    # generator name -> (constructor, extra arguments), in vocabulary order
+    g, p = model.genus, model.punctures
+    out: dict[str, tuple] = {}
+    for i in range(1, 2 * g + 1):
+        out[f"A{i}"] = (twist, f"a{i}")
+    out["B"] = (twist, "b")
+    out["DELTA"] = (twist, "delta")
+    for j in range(p):
+        out[f"E{j}"] = (twist, f"e{j}")
+    for j in range(1, p):
+        out[f"H{j}{j + 1}"] = (half_twist, j)
+        out[f"N{j}"] = (twist, f"n{j}")
+    if p >= 2:
+        out["H1p"] = (half_twist_1p,)
+        out["RHO1"] = (rho1,)
+        out["RHO2"] = (rho2,)
+        out["T"] = (rotation_T,)
+        out["R"] = (reflection_R,)
+        out["TP"] = (t_prime,)
+    out["S"] = (s_product,)
+    return out
+
+
+def generator_names(model: SurfaceModel) -> list[str]:
+    """The names of the generator vocabulary, in vocabulary order.
+
+    A1..A2g, B, DELTA, E0..E{p-1}, then H{j}{j+1} and N{j} for each
+    1 <= j < p, then (for p >= 2) H1p, RHO1, RHO2, T, R, TP, and last S.
+    This is the one list the word grammar parses against; building a
+    class takes generator(model, name).
+    """
+    return list(_makers(model))
+
+
+def generator(model: SurfaceModel, name: str) -> MappingClass:
+    """The named generator class alone, without building the others."""
+    try:
+        make, *args = _makers(model)[name]
+    except KeyError:
+        raise ValueError(f"unknown generator {name!r}") from None
+    return make(model, *args)
+
+
 def vocabulary(model: SurfaceModel) -> dict[str, MappingClass]:
     """The named generator set exposed to the word grammar and searches."""
-    g, p = model.genus, model.punctures
-    out: dict[str, MappingClass] = {}
-    for i in range(1, 2 * g + 1):
-        out[f"A{i}"] = twist(model, f"a{i}")
-    out["B"] = twist(model, "b")
-    out["DELTA"] = twist(model, "delta")
-    for j in range(p):
-        out[f"E{j}"] = twist(model, f"e{j}")
-    for j in range(1, p):
-        out[f"H{j}{j + 1}"] = half_twist(model, j)
-        out[f"N{j}"] = twist(model, f"n{j}")
-    if p >= 2:
-        out["H1p"] = half_twist_1p(model)
-        out["RHO1"] = rho1(model)
-        out["RHO2"] = rho2(model)
-        out["T"] = rotation_T(model)
-        out["R"] = reflection_R(model)
-        out["TP"] = t_prime(model)
-    out["S"] = s_product(model)
-    return out
+    return {name: make(model, *args)
+            for name, (make, *args) in _makers(model).items()}

@@ -16,7 +16,7 @@ from .surface import SurfaceModel, build
 from .words import compose, inverse, inner_witness
 from . import reps
 from .catalog import (MappingClass, compose_mc, inverse_mc, power_mc,
-                      identity_mc, equal, vocabulary)
+                      identity_mc, equal, generator, vocabulary)
 from .grammar import (Term, WordAST, WordSyntaxError, evaluate_ast,
                       merge_terms, parse_word, print_word)
 
@@ -482,9 +482,10 @@ def closure_certificate(
 def _thm_generators(model: SurfaceModel,
                     vocab: Optional[dict[str, MappingClass]] = None,
                     ) -> dict[str, MappingClass]:
-    """B, SH1p and T; pass the vocabulary of model when it is at hand."""
+    """B, SH1p and T; pass the vocabulary of model when it is at hand,
+    otherwise only B, S, H1p and T are built."""
     if vocab is None:
-        vocab = vocabulary(model)
+        vocab = {n: generator(model, n) for n in ("B", "S", "H1p", "T")}
     sh1p = compose_mc(vocab["S"], vocab["H1p"])
     return {"B": vocab["B"], "SH1p": sh1p, "T": vocab["T"]}
 
@@ -515,8 +516,7 @@ def certify_thm9(model: SurfaceModel,
 def certify_thm10(model: SurfaceModel) -> Certificate:
     """The extended group adds the reflection: sign(T') = -1 and
     R = T' rho2^-1 with R an involution."""
-    vocab = vocabulary(model)
-    tp, r, rho2 = vocab["TP"], vocab["R"], vocab["RHO2"]
+    tp, r, rho2 = (generator(model, n) for n in ("TP", "R", "RHO2"))
     transcript: list[dict] = []
     transcript.append({
         "op": "sign", "inputs": ["TP"],

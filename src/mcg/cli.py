@@ -10,14 +10,17 @@ Exit codes: 0 ok/valid, 1 usage, 2 invalid/failed, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
 
 from . import certify, reps
-from .catalog import act_on_curve, validate, vocabulary
+from .catalog import (act_on_curve, generator, generator_names, validate,
+                      vocabulary)
 from .certify import SCHEMA_VERSION
-from .grammar import WordSyntaxError, evaluate_ast, parse_word, print_word
+from .grammar import (WordSyntaxError, base_names, evaluate_ast, parse_word,
+                      print_word)
 from .surface import SurfaceModel, build, curve, curve_names
 
 EXIT_OK = 0
@@ -77,11 +80,19 @@ def cmd_gens(args) -> int:
     return EXIT_OK
 
 
+def _parse_words(model: SurfaceModel, *texts: str):
+    """Parse each text over the generator names, then build only the
+    generators the words name: one dict of classes for all of them."""
+    names = generator_names(model)
+    asts = [parse_word(text, names=names) for text in texts]
+    used = set().union(*map(base_names, asts))
+    return asts, {n: generator(model, n) for n in used}
+
+
 def cmd_eval(args) -> int:
     model = _model(args)
-    vocab = vocabulary(model)
-    ast = parse_word(args.word, names=vocab)
-    F = evaluate_ast(ast, vocab, model)
+    (ast,), gens = _parse_words(model, args.word)
+    F = evaluate_ast(ast, gens, model)
     fp = reps.fingerprint(F)
     report = {
         "command": "eval",
@@ -100,9 +111,9 @@ def cmd_eval(args) -> int:
 def cmd_eq(args) -> int:
     from .catalog import equal
     model = _model(args)
-    vocab = vocabulary(model)
-    lhs = evaluate_ast(parse_word(args.left, names=vocab), vocab, model)
-    rhs = evaluate_ast(parse_word(args.right, names=vocab), vocab, model)
+    (left, right), gens = _parse_words(model, args.left, args.right)
+    lhs = evaluate_ast(left, gens, model)
+    rhs = evaluate_ast(right, gens, model)
     ok = equal(lhs, rhs)
     _emit({"command": "eq",
            "surface": {"g": model.genus, "p": model.punctures},
@@ -113,9 +124,8 @@ def cmd_eq(args) -> int:
 
 def cmd_act(args) -> int:
     model = _model(args)
-    vocab = vocabulary(model)
-    ast = parse_word(args.word, names=vocab)
-    F = evaluate_ast(ast, vocab, model)
+    (ast,), gens = _parse_words(model, args.word)
+    F = evaluate_ast(ast, gens, model)
     try:
         c = curve(model, args.curve)
     except ValueError as exc:
@@ -257,7 +267,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The mcg parser, built on the first call; parse_args gives each call a
+    fresh Namespace, so nothing carries from one command to the next."""
     parser = _Parser(prog="mcg", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")

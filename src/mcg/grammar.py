@@ -155,6 +155,17 @@ def merge_terms(ast: Sequence[Term]) -> WordAST:
     return tuple(out)
 
 
+def base_names(ast: WordAST) -> set[str]:
+    """The generator names a word uses, inside groups too."""
+    out: set[str] = set()
+    for term in ast:
+        if isinstance(term.base, str):
+            out.add(term.base)
+        else:
+            out |= base_names(term.base)
+    return out
+
+
 def evaluate_ast(ast: WordAST, gens: dict[str, MappingClass],
                  model: SurfaceModel) -> MappingClass:
     """Leftmost factor applied last; the empty word is the identity."""

@@ -1,11 +1,15 @@
 import itertools
+import math
+from functools import reduce
 
 import pytest
 
+from mcg import catalog
 from mcg.catalog import (GLOBAL, _mk, act_on_curve, compose_mc, equal,
-                         half_twist, half_twist_1p, identity_mc, inverse_mc,
-                         power_mc, rho1, rho2, rotation_T, s_product, twist,
-                         validate, vocabulary)
+                         generator, generator_names, half_twist,
+                         half_twist_1p, identity_mc, inverse_mc, power_mc,
+                         rho1, rho2, rotation_T, s_product, twist, validate,
+                         vocabulary)
 from mcg import _tables as tables
 from mcg.surface import build, canonicalize, curve, curve_names
 from mcg.words import apply_aut, inverse
@@ -273,3 +277,47 @@ def test_twist_rejects_unknown_names_like_curve(model):
             twist(model, nm)
         assert str(from_twist.value) == str(from_curve.value)
         assert str(from_twist.value).startswith(f"unknown curve {nm!r}")
+
+
+@pytest.mark.parametrize("gp", [(1, 2), (1, 3), (2, 2), (2, 3), (1, 11)])
+def test_generator_names_and_generator_match_vocabulary(gp):
+    m = build(*gp)
+    vocab = vocabulary(m)
+    names = generator_names(m)
+    assert list(vocab) == names
+    for nm in names:
+        assert generator(m, nm) == vocab[nm], nm
+    if gp == (1, 11):
+        assert {"H910", "H1011", "N10", "E10"} <= set(names)
+
+
+def test_generator_rejects_unknown_names():
+    m = build(1, 3)
+    for nm in ("A0", "H13", "A3", "E3", "N0", "H1", "zz", "a1"):
+        with pytest.raises(ValueError):
+            generator(m, nm)
+
+
+@pytest.mark.parametrize("gp", [(1, 2), (2, 2)])
+def test_power_mc_matches_repeated_compose(gp):
+    m = build(*gp)
+    sh1p = compose_mc(generator(m, "S"), generator(m, "H1p"))
+    for F in (generator(m, "B"), generator(m, "T"), sh1p):
+        for k in range(1, 14):
+            assert power_mc(F, k) == reduce(compose_mc, [F] * k), k
+            inv = inverse_mc(F)
+            assert power_mc(F, -k) == reduce(compose_mc, [inv] * k), -k
+
+
+def test_power_mc_squares(monkeypatch):
+    calls = []
+    real = catalog.compose_mc
+
+    def counted(F, G):
+        calls.append(1)
+        return real(F, G)
+    monkeypatch.setattr(catalog, "compose_mc", counted)
+    B = generator(build(1, 2), "B")
+    B1000 = power_mc(B, 1000)
+    assert len(calls) <= 2 * math.ceil(math.log2(1000))
+    assert B1000.provenance == "·".join(["B"] * 1000)

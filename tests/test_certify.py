@@ -80,6 +80,24 @@ def test_sym_gen_check_matches_brute_force_on_random_sets():
         assert generates == (want == _factorial(p))
 
 
+def test_sym_gen_check_matches_sympy_order():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(7)
+    for p in range(2, 8):
+        for _ in range(15):
+            perms = []
+            for _ in range(2):
+                q = list(range(1, p + 1))
+                rng.shuffle(q)
+                perms.append(tuple(q))
+            want = combinatorics.PermutationGroup(
+                [combinatorics.Permutation([x - 1 for x in q])
+                 for q in perms]).order()
+            generates, order = certify.sym_gen_check(perms, p)
+            assert order == want, (p, perms)
+            assert generates == (want == _factorial(p))
+
+
 def test_sym_gen_check_alternating_subgroup():
     # 3-cycles only generate the alternating group
     assert certify.sym_gen_check([(2, 3, 1, 4), (1, 3, 4, 2)], 4) == (False, 12)
@@ -299,6 +317,19 @@ def test_certify_thm9_builds_catalog_once(monkeypatch):
     cert = certify.certify_thm9(build(2, 2))
     assert cert.valid
     assert counts == {"_mim_search": 1, "vocabulary": 1}
+
+
+def test_thm10_and_theorem_generators_skip_the_vocabulary(monkeypatch):
+    m = build(1, 3)
+    vocab = vocabulary(m)
+    want_gens = certify._thm_generators(m, vocab)
+    want_cert = certify.certify_thm10(m).as_dict()
+
+    def no_vocabulary(model):
+        raise AssertionError("vocabulary built")
+    monkeypatch.setattr(certify, "vocabulary", no_vocabulary)
+    assert certify._thm_generators(m) == want_gens
+    assert certify.certify_thm10(m).as_dict() == want_cert
 
 
 def test_certify_thm9_genus_two_witnesses():

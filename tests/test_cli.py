@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mcg import cli
+from mcg import certify, cli
 from mcg.cli import main
 from mcg.grammar import (Term, WordSyntaxError, evaluate_ast, parse_word,
                          print_word)
@@ -345,3 +345,70 @@ def test_determinism_byte_identical(capsys):
     b = run(capsys, "certify-thm9", "--g", "1", "--p", "2", "--json",
             "--seed", "7")
     assert a == b
+
+
+def test_word_commands_build_only_named_generators(capsys, monkeypatch):
+    built = []
+    real = cli.generator
+
+    def counted(model, name):
+        built.append(name)
+        return real(model, name)
+
+    def no_vocabulary(model):
+        raise AssertionError("word commands must not build the vocabulary")
+    monkeypatch.setattr(cli, "generator", counted)
+    monkeypatch.setattr(cli, "vocabulary", no_vocabulary)
+    code, out, _ = run(capsys, "eq", "--g", "3", "--p", "2", "A1 B", "B A1")
+    assert (code, out) == (0, "equal: true\n")
+    assert sorted(built) == ["A1", "B"]
+    built.clear()
+    code, _, _ = run(capsys, "eval", "--g", "1", "--p", "2", "(T E0)^2")
+    assert code == 0
+    assert sorted(built) == ["E0", "T"]
+    built.clear()
+    code, _, _ = run(capsys, "act", "--g", "1", "--p", "2", "((S) H1p)^-1",
+                     "e0")
+    assert code == 0
+    assert sorted(built) == ["H1p", "S"]
+    built.clear()
+    code, _, err = run(capsys, "eq", "--g", "1", "--p", "2", "A1", "A1 Q")
+    assert code == 1 and built == []
+    assert err == ("parse error: unknown generator 'Q'; vocabulary: A1, A2, "
+                   "B, DELTA, E0, E1, H12, H1p, N1, R, RHO1, RHO2, S, T, TP "
+                   "at byte 3\n")
+
+
+def test_parser_reuse_matches_fresh_parser(capsys, tmp_path):
+    cert = tmp_path / "thm10.json"
+    cert.write_text(json.dumps(
+        {"certificate": certify.certify_thm10(build(1, 2)).as_dict()}))
+    out_file = tmp_path / "eval.json"
+    surface = ["--g", "1", "--p", "2"]
+    session = [
+        ["eq", *surface, "--json", "T E0 T^-1", "E1"],
+        ["eq", *surface, "T E0 T^-1", "E1"],
+        ["eval", *surface, "--json", "--out", str(out_file), "T^2"],
+        ["eval", *surface, "T^2"],
+        ["eq", *surface],
+        ["verify", str(cert)],
+        ["gens", *surface],
+    ]
+
+    def replay(fresh):
+        got = []
+        for argv in session:
+            if fresh:
+                cli._build_parser.cache_clear()
+            out_file.unlink(missing_ok=True)
+            code, out, err = run(capsys, *argv)
+            written = out_file.read_text() if out_file.exists() else None
+            got.append((code, out, err, written))
+        return got
+
+    reused = replay(fresh=False)
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 1, 0, 0]
+    assert reused[2][1] == "" and json.loads(reused[2][3])["command"] == "eval"
+    assert reused[3][1].startswith("word: T^2\n") and reused[3][3] is None
+    assert "required" in reused[4][2]
+    assert reused == replay(fresh=True)
