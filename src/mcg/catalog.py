@@ -309,15 +309,15 @@ def validate(model: SurfaceModel) -> ValidationReport:
             ok, detail = False, f"{detail_on_fail} raised {exc!r}"
         items.append(ValidationItem(name, ok, detail))
 
-    A = {i: twist(model, f"a{i}") for i in range(1, 2 * g + 1)}
-    B = twist(model, "b")
-    D = twist(model, "delta")
-    H = {j: half_twist(model, j) for j in range(1, p)} if p >= 2 else {}
+    vocab = vocabulary(model)
+    A = {i: vocab[f"A{i}"] for i in range(1, 2 * g + 1)}
+    B, D, E0, S = vocab["B"], vocab["DELTA"], vocab["E0"], vocab["S"]
+    H = {j: vocab[f"H{j}{j + 1}"] for j in range(1, p)}
+    N = {j: vocab[f"N{j}"] for j in range(1, p)}
     ident = identity_mc(model)
 
     if p >= 2:
-        r1, r2, R = rho1(model), rho2(model), reflection_R(model)
-        T = rotation_T(model)
+        r1, r2, R = vocab["RHO1"], vocab["RHO2"], vocab["R"]
         for nm, F, want_sign in (("rho1", r1, 1), ("rho2", r2, 1), ("R", R, -1)):
             check(f"involution {nm}^2 = 1",
                   lambda F=F: equal(compose_mc(F, F), ident),
@@ -331,19 +331,18 @@ def validate(model: SurfaceModel) -> ValidationReport:
             if j - i >= 2:
                 check(f"commute A{i}, A{j}", lambda i=i, j=j: _commutes(A[i], A[j]),
                       f"A{i} and A{j} fail to commute")
-    E0 = twist(model, "e0")
     for i in A:
         if abs(i - 2) >= 2:
             check(f"commute A{i}, E0", lambda i=i: _commutes(A[i], E0),
                   f"A{i} and E0 fail to commute")
     if p >= 3:
-        sig = [A[i] for i in A] + [B, E0, s_product(model)]
+        sig = [A[i] for i in A] + [B, E0, S]
         for F in sig:
             check(f"commute H12, {F.provenance}", lambda F=F: _commutes(H[1], F),
                   f"H12 and {F.provenance} fail to commute")
     # delta bounds the handle/disk decomposition: every one-sided class commutes
-    one_sided = [A[i] for i in A] + [B, E0, s_product(model)] + [H[j] for j in H]
-    one_sided += [twist(model, f"n{j}") for j in range(1, p)]
+    one_sided = [A[i] for i in A] + [B, E0, S] + [H[j] for j in H]
+    one_sided += [N[j] for j in N]
     for F in one_sided:
         check(f"commute DELTA, {F.provenance}", lambda F=F: _commutes(D, F),
               f"DELTA and {F.provenance} fail to commute")
@@ -361,21 +360,20 @@ def validate(model: SurfaceModel) -> ValidationReport:
 
     for j in H:
         check(f"H{j}{j + 1}^2 = twist(n{j})",
-              lambda j=j: equal(compose_mc(H[j], H[j]), twist(model, f"n{j}")),
+              lambda j=j: equal(compose_mc(H[j], H[j]), N[j]),
               f"square of H{j}{j + 1} is not the n{j} twist")
 
-    S = s_product(model)
     for i in range(1, 2 * g):
         check(f"S A{i} S^-1 = A{i + 1}",
               lambda i=i: equal(compose_mc(S, compose_mc(A[i], inverse_mc(S))), A[i + 1]),
               f"conjugation by S does not carry A{i} to A{i + 1}")
 
     if p >= 2:
-        T = rotation_T(model)
+        T = vocab["T"]
         check("perm(T) is the long cycle",
               lambda: T.perm == tuple(list(range(2, p + 1)) + [1]),
               f"perm(T) = {T.perm}")
-        Ej = {j: twist(model, f"e{j}") for j in range(p)}
+        Ej = {j: vocab[f"E{j}"] for j in range(p)}
         for j in range(p):
             check(f"T E{j} T^-1 = E{(j + 1) % p}",
                   lambda j=j: equal(
@@ -391,8 +389,7 @@ def validate(model: SurfaceModel) -> ValidationReport:
     def peripheral_ok(F: MappingClass) -> bool:
         return _peripheral_action(model, F.aut) == (F.perm, F.sign)
 
-    all_named = list(vocabulary(model).values())
-    for F in all_named:
+    for F in vocab.values():
         check(f"peripheral structure of {F.provenance}",
               lambda F=F: peripheral_ok(F),
               f"stored puncture action of {F.provenance} disagrees with its table")

@@ -16,7 +16,8 @@ from .surface import SurfaceModel, build
 from .words import compose, inverse, inner_witness
 from . import reps
 from .catalog import (MappingClass, compose_mc, inverse_mc, power_mc,
-                      identity_mc, equal, generator, vocabulary)
+                      identity_mc, equal, generator, generator_names,
+                      vocabulary)
 from .grammar import (Term, WordAST, WordSyntaxError, evaluate_ast,
                       merge_terms, parse_word, print_word)
 
@@ -588,8 +589,7 @@ def verify(cert: Certificate) -> bool:
     if cert.kind == "theorem-10":
         rebuilt = certify_thm10(model)
         return cert.valid and _canonical(cert) == _canonical(rebuilt)
-    vocab = vocabulary(model)
-    gens = _thm_generators(model, vocab)
+    gens = _thm_generators(model)
     if cert.kind == "theorem-9":
         witnesses = [(name, _witness_text(step)) for name, step
                      in zip(_gervais_set(g, p), cert.transcript)]
@@ -597,15 +597,15 @@ def verify(cert: Certificate) -> bool:
             expected = _thm9_certificate(model, gens, witnesses)
         except ValueError:   # p beyond the closure bound
             return False
-    elif cert.kind == "membership" and cert.target in vocab \
+    elif cert.kind == "membership" and cert.target in generator_names(model) \
             and cert.witness is not None:
         witnesses = [(cert.target, cert.witness)]
         expected = _membership_certificate(model, cert.target,
-                                           vocab[cert.target], list(gens),
-                                           cert.witness)
+                                           generator(model, cert.target),
+                                           list(gens), cert.witness)
     else:
         return False
     # a valid match carries a witness text for every target
     return (cert.valid and _canonical(cert) == _canonical(expected)
-            and all(_witness_holds(model, text, gens, vocab[name])
+            and all(_witness_holds(model, text, gens, generator(model, name))
                     for name, text in witnesses))

@@ -106,17 +106,38 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
 # automorphisms
 
 
-def _substitute(table: Sequence[Word], w: Sequence[int]) -> Word:
-    """Image of w under the endomorphism sending generator i to table[i-1]."""
-    out: list[int] = []
-    for x in w:
-        img = table[x - 1] if x > 0 else tuple(-y for y in reversed(table[-x - 1]))
-        for y in img:
-            if out and out[-1] == -y:
-                out.pop()
+def _substitute(table: Sequence[Word],
+                words: Iterable[Sequence[int]]) -> list[Word]:
+    """Images of words under the endomorphism sending generator i to table[i-1].
+
+    Precondition: every table image is freely reduced (the tables of an
+    AutPair always are).  The output built so far is reduced too, so
+    appending the image of one more letter can cancel letters only where
+    the two meet: the run of k letters at the end of the output that the
+    first k letters of the image invert.  Each image is therefore cut in
+    with one slice and one extend.  The words themselves need not be
+    reduced.  The image of a negative letter is inverted the first time it
+    is used and shared by every word of the call.
+    """
+    images = dict(enumerate(table, start=1))
+    result: list[Word] = []
+    for w in words:
+        out: list[int] = []
+        for x in w:
+            img = images.get(x)
+            if img is None:
+                img = images[x] = invert(table[-x - 1])
+            m = len(out)
+            k, stop = 0, min(m, len(img))
+            while k < stop and out[m - 1 - k] == -img[k]:
+                k += 1
+            if k:
+                del out[m - k:]
+                out.extend(img[k:])
             else:
-                out.append(y)
-    return tuple(out)
+                out.extend(img)
+        result.append(tuple(out))
+    return result
 
 
 @dataclass(frozen=True)
@@ -145,14 +166,14 @@ def make_aut(fwd: Sequence[Sequence[int]], bwd: Sequence[Sequence[int]]) -> AutP
             for x in w:
                 if not 1 <= abs(x) <= rank:
                     raise ValueError(f"letter {x} out of range for rank {rank}")
-    for i in range(rank):
-        if _substitute(f, b[i]) != (i + 1,) or _substitute(b, f[i]) != (i + 1,):
-            raise ValueError("tables are not mutually inverse")
+    ident = [(i,) for i in range(1, rank + 1)]
+    if _substitute(f, b) != ident or _substitute(b, f) != ident:
+        raise ValueError("tables are not mutually inverse")
     return AutPair(rank, f, b)
 
 
 def apply_aut(f: AutPair, w: Sequence[int]) -> Word:
-    return _substitute(f.fwd, w)
+    return _substitute(f.fwd, (w,))[0]
 
 
 def compose(f: AutPair, g: AutPair) -> AutPair:
@@ -161,8 +182,8 @@ def compose(f: AutPair, g: AutPair) -> AutPair:
         raise ValueError("rank mismatch")
     return AutPair(
         f.rank,
-        tuple(_substitute(f.fwd, u) for u in g.fwd),
-        tuple(_substitute(g.bwd, u) for u in f.bwd),
+        tuple(_substitute(f.fwd, g.fwd)),
+        tuple(_substitute(g.bwd, f.bwd)),
     )
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from functools import reduce
 
@@ -321,3 +323,23 @@ def test_power_mc_squares(monkeypatch):
     B1000 = power_mc(B, 1000)
     assert len(calls) <= 2 * math.ceil(math.log2(1000))
     assert B1000.provenance == "·".join(["B"] * 1000)
+
+
+# sha256 of the sorted-key JSON of {name: (fwd, bwd, perm, sign)} over the
+# vocabulary, taken before the substitution kernel cut whole images in; a
+# change to any generator table changes its digest.
+FROZEN_TABLES = {
+    (1, 2): "c5aff8cbcbda658aef286fbbc81801eedc1f5f4b4cb08e74a1b1406eb0a235d8",
+    (2, 2): "53239749633db4aba307539db415185a539cdfc40c76e1b2c84d0a0e5706143d",
+    (2, 3): "23183d18a10a8d42a556477e2113f33cb2e3262ce7211caadf33014c7923b01f",
+    (7, 2): "d38eb16bccb2437c294d1a7aeea648f72e26d540bdda706b0d2e8a93ff0d9d54",
+}
+
+
+@pytest.mark.parametrize("gp", sorted(FROZEN_TABLES),
+                         ids=lambda gp: f"g{gp[0]}p{gp[1]}")
+def test_vocabulary_tables_frozen(gp):
+    tables_of = {name: (F.aut.fwd, F.aut.bwd, F.perm, F.sign)
+                 for name, F in vocabulary(build(*gp)).items()}
+    text = json.dumps(tables_of, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_TABLES[gp]

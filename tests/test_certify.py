@@ -332,6 +332,18 @@ def test_thm10_and_theorem_generators_skip_the_vocabulary(monkeypatch):
     assert certify.certify_thm10(m).as_dict() == want_cert
 
 
+def test_verify_skips_the_vocabulary(monkeypatch, real_certificates):
+    certs = [certify.certificate_from_dict(json.loads(real_certificates[k]))
+             for k in ("thm9 (1,3)", "synth A2")]
+    certs.append(certify.certify_thm9(build(2, 2)))
+
+    def no_vocabulary(model):
+        raise AssertionError("vocabulary built")
+    monkeypatch.setattr(certify, "vocabulary", no_vocabulary)
+    for cert in certs:
+        assert certify.verify(cert), cert.kind
+
+
 def test_certify_thm9_genus_two_witnesses():
     cert = certify.certify_thm9(build(2, 2))
     got = {item["inputs"]["target"]: item["inputs"]["witness"]

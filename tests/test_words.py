@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -241,3 +242,79 @@ def test_inner_witness_property(rank, w):
 def test_identity_aut_is_identity():
     assert is_identity_aut(identity_aut(4))
     assert not is_identity_aut(transvection())
+
+
+# ---------------------------------------------------------------------------
+# the substitution kernel against a letter-by-letter oracle
+
+
+def letter_image(f, x):
+    return f.fwd[x - 1] if x > 0 else invert(f.fwd[-x - 1])
+
+
+def oracle_apply(f, w):
+    return concat(*(letter_image(f, x) for x in w))
+
+
+def elementary_transvection(rank, i, j, e):
+    # x_i -> x_i x_j^e, rest fixed; i != j
+    fwd = [(k,) for k in range(1, rank + 1)]
+    bwd = list(fwd)
+    fwd[i - 1] = (i, e * j)
+    bwd[i - 1] = (i, -e * j)
+    return make_aut(fwd, bwd)
+
+
+RANK = 5
+indices = st.integers(min_value=1, max_value=RANK)
+transvections = st.tuples(indices, indices, st.sampled_from((1, -1))).filter(
+    lambda t: t[0] != t[1]).map(lambda t: elementary_transvection(RANK, *t))
+inner = st.lists(letters, max_size=6).map(lambda w: ad_aut(RANK, reduce_word(w)))
+automorphisms = st.lists(st.one_of(transvections, inner), min_size=1,
+                         max_size=5).map(
+    lambda fs: functools.reduce(compose, fs, identity_aut(RANK)))
+
+
+@settings(max_examples=200)
+@given(automorphisms, raw_words)
+def test_apply_matches_oracle_on_unreduced_words(f, w):
+    assert apply_aut(f, w) == oracle_apply(f, w)
+
+
+@settings(max_examples=100)
+@given(automorphisms, reduced_words())
+def test_apply_cancels_word_times_inverse(f, w):
+    assert apply_aut(f, w + invert(w)) == oracle_apply(f, w + invert(w)) == ()
+    assert apply_aut(f, invert(w) + w) == ()
+
+
+@settings(max_examples=200)
+@given(automorphisms, automorphisms)
+def test_compose_matches_oracle(f, g):
+    fg = compose(f, g)
+    assert fg.fwd == tuple(oracle_apply(f, u) for u in g.fwd)
+    assert fg.bwd == tuple(oracle_apply(inverse(g), u) for u in f.bwd)
+    assert is_identity_aut(compose(fg, inverse(fg)))
+
+
+def test_apply_partial_cancellation_at_the_junction():
+    f = ad_aut(RANK, (1, 2))
+    # x3 -> 1 2 3 -2 -1 and x4 -> 1 2 4 -2 -1 cancel two letters where they meet
+    assert apply_aut(f, (3, 4)) == (1, 2, 3, 4, -2, -1)
+    # x3 x4^-1: the inverse image of x4 meets the output the same way
+    assert apply_aut(f, (3, -4)) == (1, 2, 3, -4, -2, -1)
+    # the same negative letter twice reuses one inverse image
+    assert apply_aut(f, (-3, -3)) == (1, 2, -3, -3, -2, -1)
+    t = elementary_transvection(RANK, 1, 2, 1)
+    # x1 x2^-1 -> (1 2)(-2): the image of x2^-1 cancels only part of (1 2)
+    assert apply_aut(t, (1, -2)) == (1,)
+    for w in ((3, 4), (3, -4), (-3, -3), (1, -2, 1, 1)):
+        assert apply_aut(f, w) == oracle_apply(f, w)
+        assert apply_aut(t, w) == oracle_apply(t, w)
+
+
+def test_make_aut_rejects_empty_image():
+    with pytest.raises(ValueError):
+        make_aut([(), (2,)], [(1,), (2,)])
+    with pytest.raises(ValueError):
+        make_aut([(1,), (2,)], [(1,), ()])
