@@ -1,0 +1,103 @@
+"""Time ``certify_thm9`` and ``verify`` per surface; write BENCH_certify.json.
+
+    python3 bench/certify_grid.py [--src DIR] [--label NAME]
+
+For each surface (1,2)..(1,10), (2,2) and (2,3) two times are taken:
+``build`` plus ``certify_thm9``, and ``verify`` of that certificate after
+a JSON round trip (``to_json``, ``json.loads``, ``certificate_from_dict``).
+Each timing runs in a new Python process, so ``mcg`` is imported fresh
+and its table caches are cold; each time is the minimum over 5
+``time.perf_counter`` samples.  A surface whose certificate is not valid or does not verify is recorded
+as such.  ``--src`` names the ``src`` directory to import ``mcg`` from
+(default: the one of this checkout), so another checkout can be timed with
+the same script.  The result is stored under ``--label`` in
+``BENCH_certify.json`` at the root of this checkout; entries under other
+labels are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "BENCH_certify.json")
+REPEAT = 5
+SURFACES = [(1, p) for p in range(2, 11)] + [(2, 2), (2, 3)]
+
+
+# each timing runs in its own child process; argv[1] is the src directory
+THM9 = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from mcg import certify
+from mcg.surface import build
+start = time.perf_counter()
+cert = certify.certify_thm9(build(int(sys.argv[2]), int(sys.argv[3])))
+print(json.dumps([time.perf_counter() - start, cert.valid]))
+print(cert.to_json())
+"""
+VERIFY = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from mcg import certify
+text = sys.stdin.read()
+start = time.perf_counter()
+ok = certify.verify(certify.certificate_from_dict(json.loads(text)))
+print(json.dumps([time.perf_counter() - start, ok]))
+"""
+
+
+def _child(code: str, *args: str, stdin: str = "") -> str:
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def _sample(src: str, g: int, p: int) -> tuple[float, float, bool, bool]:
+    """(certify_thm9 s, verify s, valid, verified), each from a cold start."""
+    head, text = _child(THM9, src, str(g), str(p)).split("\n", 1)
+    thm9_s, valid = json.loads(head)
+    verify_s, ok = json.loads(_child(VERIFY, src, stdin=text))
+    return thm9_s, verify_s, valid, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    parser.add_argument("--label", default="current")
+    args = parser.parse_args(argv)
+
+    src = os.path.abspath(args.src)
+    surfaces = {}
+    for g, p in SURFACES:
+        samples = [_sample(src, g, p) for _ in range(REPEAT)]
+        surfaces[f"({g},{p})"] = {
+            "thm9_min_ms": round(min(s[0] for s in samples) * 1e3, 3),
+            "verify_min_ms": round(min(s[1] for s in samples) * 1e3, 3),
+            "valid": all(s[2] for s in samples),
+            "verified": all(s[3] for s in samples),
+        }
+
+    results = {}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            results = json.load(fh)
+    results[args.label] = {
+        "repeat": REPEAT,
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "surfaces": surfaces,
+    }
+    with open(OUT, "w") as fh:
+        json.dump(results, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps({args.label: surfaces}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

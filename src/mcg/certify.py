@@ -16,8 +16,7 @@ from .surface import SurfaceModel, build
 from .words import compose, inverse, inner_witness
 from . import reps
 from .catalog import (MappingClass, compose_mc, inverse_mc, power_mc,
-                      identity_mc, equal, generator, generator_names,
-                      vocabulary)
+                      identity_mc, equal, generator, generator_names)
 from .grammar import (Term, WordAST, WordSyntaxError, evaluate_ast,
                       merge_terms, parse_word, print_word)
 
@@ -279,14 +278,6 @@ def _mim_search(model: SurfaceModel, target: MappingClass,
     return None
 
 
-def _vocab_match(target: MappingClass,
-                 vocab: dict[str, MappingClass]) -> Optional[str]:
-    for name in sorted(vocab):
-        if equal(vocab[name], target):
-            return name
-    return None
-
-
 def _kernel_step(target: str, witness: str) -> dict:
     return {
         "op": "kernel-witness",
@@ -310,102 +301,67 @@ def _membership_certificate(model: SurfaceModel, name: str,
     )
 
 
-def synthesize(model: SurfaceModel, target: MappingClass,
+def synthesize(model: SurfaceModel, name: str,
                generators: dict[str, MappingClass],
                limits: Optional[SearchLimits] = None,
-               target_name: Optional[str] = None,
-               vocab: Optional[dict[str, MappingClass]] = None,
-               memo: Optional[dict] = None,
                ) -> Optional[tuple[WordAST, Certificate]]:
-    """Witness word for target over the named generators, or None when the
-    budget runs out.  Absence is never claimed.
+    """Witness word for the generator name over the named generators, or
+    None when the budget runs out.  Absence is never claimed.
 
-    Structured derivations run first: known conjugation identities move the
-    target into reach (E_j pulls back through powers of T, the chain twists
-    climb via SH1p conjugation since the disk-side half twist commutes with
-    handle-side twists), then the raw search handles the base cases.  The
-    word passes the exact equality gate before it is returned.
-
-    The membership certificate holds one kernel-witness step.  verify looks
-    the target up by name in vocabulary(model) and reads the witness over
-    B, SH1p, T, so pass target_name and the generators of _thm_generators
-    for a certificate that verifies.
-
-    Pass the vocabulary of model when it is at hand.  Derivations are
-    shared through memo, which maps exact target tables to derived words;
-    a memo must only be shared between calls with the same generators and
-    limits.
+    The word comes from _derive and passed the exact equality gate.  The
+    membership certificate holds one kernel-witness step.  verify builds
+    the target from its name and reads the witness over B, SH1p, T, so pass
+    the generators of _thm_generators for a certificate that verifies.
     """
-    if vocab is None:
-        vocab = vocabulary(model)
-    word = _witness(model, target, generators, limits or SearchLimits(),
-                    vocab, {} if memo is None else memo)
+    word = _derive(model, name, generators, limits or SearchLimits(), {})
     if word is None:
         return None
-    name = target_name or target.provenance
-    return word, _membership_certificate(model, name, target,
+    return word, _membership_certificate(model, name, generator(model, name),
                                          generators, print_word(word))
 
 
-def _witness(model: SurfaceModel, target: MappingClass,
-             generators: dict[str, MappingClass], limits: SearchLimits,
-             vocab: dict[str, MappingClass], memo: dict) -> Optional[WordAST]:
-    """The derived word for target with adjacent powers merged, checked by
-    exact equality; None when the budget runs out."""
-    word = _derive(model, target, generators, limits, vocab, memo)
-    if word is None:
-        return None
-    word = merge_terms(word)
-    if not equal(evaluate_ast(word, generators, model), target):
-        raise AssertionError("derivation produced an unverified witness")
-    return word
-
-
-def _derive(model: SurfaceModel, target: MappingClass,
+def _derive(model: SurfaceModel, name: str,
             generators: dict[str, MappingClass], limits: SearchLimits,
-            vocab: dict[str, MappingClass], memo: dict) -> Optional[WordAST]:
-    """Memoized derivation: the first call per target derives, later calls
-    return its word.
+            memo: dict[str, Optional[WordAST]]) -> Optional[WordAST]:
+    """The word for the named generator over generators, adjacent powers
+    merged and checked by exact equality; None when the budget runs out.
 
-    memo maps exact target tables (aut.fwd, perm, sign) to the derived word
-    (None when the budget ran out); it is valid for one generator set and
-    one budget.
+    Rules by name come before the raw search.  A target equal to a
+    generator is that generator; E0 is A2 (both are the twist
+    tw_through(g, p, 1)); E_j is T^j E0 T^-j and A_i is SH1p A_{i-1}
+    SH1p^-1, since f T_c f^-1 = T_f(c) and T moves e0 to e_j while SH1p
+    moves a_{i-1} to a_i.  A rule whose sub-derivation ran out of budget
+    falls through to a search of its own target.  memo maps names to
+    their words for one call: one generator set and one budget.
     """
-    key = (target.aut.fwd, target.perm, target.sign)
-    if key not in memo:
-        memo[key] = _derive_once(model, target, generators, limits, vocab,
-                                 memo)
-    return memo[key]
-
-
-def _derive_once(model: SurfaceModel, target: MappingClass,
-                 generators: dict[str, MappingClass], limits: SearchLimits,
-                 vocab: dict[str, MappingClass],
-                 memo: dict) -> Optional[WordAST]:
-    for name in sorted(generators):
-        if equal(generators[name], target):
-            return (Term(name, 1),)
-
-    label = _vocab_match(target, vocab)
-
-    if label and label.startswith("E") and label[1:].isdigit() \
-            and "T" in generators:
-        j = int(label[1:])
-        if j >= 1:
-            sub = _derive(model, vocab["E0"], generators, limits, vocab, memo)
+    if name in memo:
+        return memo[name]
+    target = generator(model, name)
+    word = next(((Term(gen, 1),) for gen in sorted(generators)
+                 if equal(generators[gen], target)), None)
+    kind, index = name[:1], name[1:]
+    if word is None and name == "E0":
+        word = _derive(model, "A2", generators, limits, memo)
+    elif word is None:
+        if kind == "E" and index.isdigit() and "T" in generators:
+            sub = _derive(model, "E0", generators, limits, memo)
             if sub is not None:
-                return (Term("T", j),) + sub + (Term("T", -j),)
-
-    if label and label.startswith("A") and label[1:].isdigit() \
-            and "SH1p" in generators:
-        i = int(label[1:])
-        if i >= 2:
-            sub = _derive(model, vocab[f"A{i - 1}"], generators, limits,
-                          vocab, memo)
+                j = int(index)
+                word = (Term("T", j),) + sub + (Term("T", -j),)
+        elif kind == "A" and index.isdigit() and int(index) >= 2 \
+                and "SH1p" in generators:
+            sub = _derive(model, f"A{int(index) - 1}", generators, limits,
+                          memo)
             if sub is not None:
-                return (Term("SH1p", 1),) + sub + (Term("SH1p", -1),)
-
-    return _mim_search(model, target, generators, limits)
+                word = (Term("SH1p", 1),) + sub + (Term("SH1p", -1),)
+        if word is None:
+            word = _mim_search(model, target, generators, limits)
+    if word is not None:
+        word = merge_terms(word)
+        if not equal(evaluate_ast(word, generators, model), target):
+            raise AssertionError("derivation produced an unverified witness")
+    memo[name] = word
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -422,31 +378,21 @@ def _gervais_set(g: int, p: int) -> list[str]:
 def closure_certificate(
         kernel_memberships: Sequence[tuple[str, Optional[str]]],
         quotient_images: Sequence[Sequence[int]],
-        p: int,
-        g: Optional[int] = None,
-        required: Optional[Sequence[str]] = None,
-        generators: Optional[Sequence[str]] = None,
-        kind: str = "generation",
-        target: str = "Mod",
-) -> Certificate:
-    """Assemble the exact-sequence closure argument as a proof object.
+        p: int, g: int, generators: Sequence[str]) -> Certificate:
+    """The theorem-9 closure argument on (g, p) as a proof object.
 
     kernel_memberships pairs kernel targets with witness words; a target
-    paired with None is recorded as budget exhausted, and a required target
-    left out as missing.  The transcript holds one kernel-witness step per
-    required target, then one sym_gen_check step.  Valid iff every required
-    kernel generator carries a witness word and the quotient images generate
-    the full symmetric group.  The required set defaults to the Gervais set
-    for the given genus.  The words are recorded as given: certify_thm9
-    checks each one before it gets here, and verify checks them again.
+    paired with None is recorded as budget exhausted, and a target of the
+    Gervais set left out as missing.  The transcript holds one
+    kernel-witness step per Gervais target, then one sym_gen_check step.
+    Valid iff every target carries a witness word and the quotient images
+    generate the full symmetric group.  The words are recorded as given:
+    certify_thm9 checks each one before it gets here, and verify checks
+    them again.
     """
-    if required is None:
-        if g is None:
-            raise ValueError("need either a genus or an explicit required set")
-        required = _gervais_set(g, p)
     witness_map = dict(kernel_memberships)
     transcript: list[dict] = []
-    for name in required:
+    for name in _gervais_set(g, p):
         if witness_map.get(name) is not None:
             transcript.append(_kernel_step(name, witness_map[name]))
         else:
@@ -467,9 +413,9 @@ def closure_certificate(
     return Certificate(
         schema_version=SCHEMA_VERSION,
         surface={"g": g, "p": p},
-        kind=kind,
-        target=target,
-        generators=sorted(generators or []),
+        kind="theorem-9",
+        target="Mod",
+        generators=sorted(generators),
         witness=None,
         transcript=transcript,
         fingerprints={},
@@ -480,36 +426,29 @@ def closure_certificate(
 # end-to-end theorems
 
 
-def _thm_generators(model: SurfaceModel,
-                    vocab: Optional[dict[str, MappingClass]] = None,
-                    ) -> dict[str, MappingClass]:
-    """B, SH1p and T; pass the vocabulary of model when it is at hand,
-    otherwise only B, S, H1p and T are built."""
-    if vocab is None:
-        vocab = {n: generator(model, n) for n in ("B", "S", "H1p", "T")}
-    sh1p = compose_mc(vocab["S"], vocab["H1p"])
-    return {"B": vocab["B"], "SH1p": sh1p, "T": vocab["T"]}
+def _thm_generators(model: SurfaceModel) -> dict[str, MappingClass]:
+    """B, SH1p and T, built from B, S, H1p and T alone."""
+    b, s, h1p, t = (generator(model, n) for n in ("B", "S", "H1p", "T"))
+    return {"B": b, "SH1p": compose_mc(s, h1p), "T": t}
 
 
 def _thm9_certificate(model: SurfaceModel, gens: dict[str, MappingClass],
                       witnesses: Sequence[tuple[str, Optional[str]]],
                       ) -> Certificate:
     images = [list(gens["SH1p"].perm), list(gens["T"].perm)]
-    return closure_certificate(
-        witnesses, images, model.punctures, g=model.genus,
-        generators=sorted(gens), kind="theorem-9", target="Mod")
+    return closure_certificate(witnesses, images, model.punctures,
+                               model.genus, gens)
 
 
 def certify_thm9(model: SurfaceModel,
                  limits: Optional[SearchLimits] = None) -> Certificate:
     """Generation of the full mapping class group by B, SH1p, T."""
     limits = limits or SearchLimits()
-    vocab = vocabulary(model)
-    gens = _thm_generators(model, vocab)
-    memo: dict = {}
+    gens = _thm_generators(model)
+    memo: dict[str, Optional[WordAST]] = {}
     witnesses = []
     for name in _gervais_set(model.genus, model.punctures):
-        word = _witness(model, vocab[name], gens, limits, vocab, memo)
+        word = _derive(model, name, gens, limits, memo)
         witnesses.append((name, None if word is None else print_word(word)))
     return _thm9_certificate(model, gens, witnesses)
 

@@ -192,14 +192,13 @@ def _limits(args) -> certify.SearchLimits:
 
 def cmd_synth(args) -> int:
     model = _model(args)
-    vocab = vocabulary(model)
-    if args.target not in vocab:
+    names = generator_names(model)
+    if args.target not in names:
         raise UsageError(f"unknown target {args.target!r}; vocabulary: "
-                         f"{', '.join(sorted(vocab))}")
-    gens = certify._thm_generators(model, vocab)
-    got = certify.synthesize(model, vocab[args.target], gens,
-                             limits=_limits(args), target_name=args.target,
-                             vocab=vocab)
+                         f"{', '.join(sorted(names))}")
+    got = certify.synthesize(model, args.target,
+                             certify._thm_generators(model),
+                             limits=_limits(args))
     if got is None:
         _emit({"command": "synth", "target": args.target,
                "status": "budget exhausted"}, args,

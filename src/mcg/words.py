@@ -78,30 +78,6 @@ def least_rotation(w: Word) -> Word:
     return min(w[r:] + w[:r] for r in range(len(w))) if w else ()
 
 
-def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
-    """A word w with u = w v w^-1, or None if u, v are not conjugate.
-
-    Cores of conjugate elements are rotations of each other, so the match
-    is found by scanning rotations of the core of v; the returned witness
-    is verified by substitution before being handed back.
-    """
-    core_u, cu = cyclic_reduce(u)
-    core_v, cv = cyclic_reduce(v)
-    n = len(core_u)
-    if n != len(core_v):
-        return None
-    if n == 0:
-        return ()
-    doubled = core_v + core_v
-    for r in range(n):
-        if doubled[r : r + n] == core_u:
-            # core_u = prefix^-1 . core_v . prefix for prefix = core_v[:r]
-            w = concat(cu, invert(core_v[:r]), invert(cv))
-            if concat(w, v, invert(w)) == u:
-                return w
-    return None
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 

@@ -107,7 +107,7 @@ def test_criterion_06_membership_witnesses():
     vocab = vocabulary(m)
     gens = certify._thm_generators(m)
     for name in ("A1", "A2", "E0", "E1"):
-        got = certify.synthesize(m, vocab[name], gens, target_name=name)
+        got = certify.synthesize(m, name, gens)
         if got is None:
             report(6, False, f"{name}: no witness")
         word, cert = got

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mcg import certify
+from mcg import catalog, certify
 from mcg.catalog import compose_mc, equal, inverse_mc, vocabulary
 from mcg.grammar import Term, evaluate_ast, merge_terms, parse_word, print_word
 from mcg.surface import build
@@ -46,6 +46,8 @@ def test_sym_gen_check_frozen():
         generates, order = certify.sym_gen_check([tuple(swap), cycle], p)
         assert generates
         assert order == _factorial(p)
+    # one puncture: the trivial group is all of S_1 (mcg sym --p 1)
+    assert certify.sym_gen_check([(1,)], 1) == (True, 1)
 
 
 def _factorial(p):
@@ -126,8 +128,7 @@ def test_synthesize_structured_targets(torus, torus_gens):
         "E1": "T SH1p B SH1p^-1 T^-1",
     }
     for name, expected in want.items():
-        got = certify.synthesize(torus, vocab[name], torus_gens,
-                                 target_name=name)
+        got = certify.synthesize(torus, name, torus_gens)
         assert got is not None, name
         word, cert = got
         assert print_word(word) == expected
@@ -139,64 +140,50 @@ def test_synthesize_structured_targets(torus, torus_gens):
 
 def test_synthesize_records_derivation_steps():
     m = build(2, 2)
-    vocab = vocabulary(m)
-    gens = certify._thm_generators(m, vocab)
     want = "SH1p^2 B SH1p B SH1p^-1 B^-1 SH1p^-2"
-    for kwargs in ({}, {"vocab": vocab}):
-        word, cert = certify.synthesize(m, vocab["A2"], gens,
-                                        target_name="A2", **kwargs)
-        assert print_word(word) == want
-        assert cert.witness == want
-        assert cert.transcript == [{
-            "op": "kernel-witness",
-            "inputs": {"target": "A2", "witness": want},
-            "verdict": True,
-        }]
-        assert list(cert.fingerprints) == ["target"]
-        assert certify.verify(cert)
+    word, cert = certify.synthesize(m, "A2", certify._thm_generators(m))
+    assert print_word(word) == want
+    assert cert.witness == want
+    assert cert.transcript == [{
+        "op": "kernel-witness",
+        "inputs": {"target": "A2", "witness": want},
+        "verdict": True,
+    }]
+    assert list(cert.fingerprints) == ["target"]
+    assert certify.verify(cert)
 
 
-def test_synthesize_memo_hit_replays_steps(monkeypatch):
+def test_synthesize_memo_hit_replays_steps():
     m = build(2, 2)
-    vocab = vocabulary(m)
-    gens = certify._thm_generators(m, vocab)
-    calls = []
-    search = certify._mim_search
-    monkeypatch.setattr(certify, "_mim_search",
-                        lambda *a: calls.append(1) or search(*a))
-    memo = {}
-    first = certify.synthesize(m, vocab["A2"], gens, vocab=vocab, memo=memo)
-    again = certify.synthesize(m, vocab["A2"], gens, vocab=vocab, memo=memo)
+    gens = certify._thm_generators(m)
+    first = certify.synthesize(m, "A2", gens)
+    again = certify.synthesize(m, "A2", gens)
     assert again[0] == first[0]
     assert again[1].as_dict() == first[1].as_dict()
-    assert len(calls) == 1
     # each certificate owns its steps: editing one leaves the other
     again[1].transcript[0]["inputs"]["witness"] = "edited"
     assert first[1].transcript[0]["inputs"]["witness"] == print_word(first[0])
 
 
-def test_synthesize_memoizes_budget_exhaustion(torus, torus_gens,
-                                               monkeypatch):
-    vocab = vocabulary(torus)
-    tiny = certify.SearchLimits(depth=0, max_states=1)
-    gens = {"T": torus_gens["T"]}
+@pytest.mark.parametrize("g, p, searches", [(2, 2, 5), (2, 3, 6)],
+                         ids=["g2p2", "g2p3"])
+def test_certify_thm9_search_count_on_budget(monkeypatch, g, p, searches):
+    # depth 1 reaches no A_i and no E_j: A1..A2g and E1..E{p-1} each search
+    # once; B is a generator and E0 reuses the A2 derivation
     calls = []
     search = certify._mim_search
     monkeypatch.setattr(certify, "_mim_search",
                         lambda *a: calls.append(1) or search(*a))
-    memo = {}
-    for _ in range(2):
-        assert certify.synthesize(torus, vocab["DELTA"], gens, limits=tiny,
-                                  vocab=vocab, memo=memo) is None
-    assert len(calls) == 1
+    cert = certify.certify_thm9(build(g, p), certify.SearchLimits(depth=1))
+    assert not cert.valid
+    assert len(calls) == searches
 
 
 def test_synthesize_honest_on_budget_exhaustion(torus, torus_gens):
     # a target out of reach at depth 0 yields None, never a false claim
-    vocab = vocabulary(torus)
     tiny = certify.SearchLimits(depth=0, max_states=1)
     gens = {"T": torus_gens["T"]}
-    got = certify.synthesize(torus, vocab["DELTA"], gens, limits=tiny)
+    got = certify.synthesize(torus, "DELTA", gens, limits=tiny)
     assert got is None
 
 
@@ -233,7 +220,7 @@ def test_closure_certificate_valid_path():
     cert = certify.closure_certificate(
         [("B", "B"), ("A1", "B"), ("A2", "SH1p B SH1p^-1"),
          ("E0", "SH1p B SH1p^-1"), ("E1", "T SH1p B SH1p^-1 T^-1")],
-        [[2, 1], [2, 1]], 2, g=1, generators=["B", "SH1p", "T"])
+        [[2, 1], [2, 1]], 2, 1, ["B", "SH1p", "T"])
     assert cert.valid
     ops = [item["op"] for item in cert.transcript]
     assert ops.count("kernel-witness") == 5
@@ -242,7 +229,7 @@ def test_closure_certificate_valid_path():
 
 def test_closure_certificate_flags_missing_witness():
     cert = certify.closure_certificate(
-        [("B", "B")], [[2, 1]], 2, g=1)
+        [("B", "B")], [[2, 1]], 2, 1, ["B", "SH1p", "T"])
     assert not cert.valid
     missing = [item for item in cert.transcript
                if item["op"] == "kernel-witness" and not item["verdict"]]
@@ -250,20 +237,28 @@ def test_closure_certificate_flags_missing_witness():
                            for item in missing)
 
 
-def test_closure_certificate_flags_small_quotient():
+def test_closure_certificate_flags_budget_exhausted():
     cert = certify.closure_certificate(
-        [("B", "B")], [[2, 3, 1]], 3, required=["B"])
+        [("B", "B"), ("A1", None)], [[2, 1]], 2, 1, ["B", "SH1p", "T"])
+    assert not cert.valid
+    errors = {item["inputs"]["target"]: item.get("error")
+              for item in cert.transcript if item["op"] == "kernel-witness"}
+    assert errors == {"B": None, "A1": "budget exhausted",
+                      "A2": "missing witness", "E0": "missing witness",
+                      "E1": "missing witness"}
+
+
+def test_closure_certificate_flags_small_quotient():
+    witnesses = [("B", "B"), ("A1", "B"), ("A2", "SH1p B SH1p^-1"),
+                 ("E0", "SH1p B SH1p^-1"), ("E1", "T SH1p B SH1p^-1 T^-1"),
+                 ("E2", "T^2 SH1p B SH1p^-1 T^-2")]
+    cert = certify.closure_certificate(witnesses, [[2, 3, 1]], 3, 1,
+                                       ["B", "SH1p", "T"])
+    assert all(item["verdict"] for item in cert.transcript[:-1])
     last = cert.transcript[-1]
     assert last["op"] == "sym_gen_check"
     assert last["verdict"] is False and last["order"] == 3
     assert not cert.valid
-
-
-def test_closure_certificate_toy_vacuous():
-    # one puncture: no quotient content, empty kernel requirement
-    cert = certify.closure_certificate([], [[1]], 1, required=[])
-    assert cert.valid
-    assert cert.transcript[-1]["order"] == 1
 
 
 def test_certificate_json_roundtrip(torus):
@@ -307,27 +302,28 @@ def test_certify_thm9_torus(torus):
 
 def test_certify_thm9_builds_catalog_once(monkeypatch):
     counts = {"_mim_search": 0, "vocabulary": 0}
-    for name in counts:
-        real = getattr(certify, name)
+    for module, name in ((certify, "_mim_search"), (catalog, "vocabulary")):
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(certify, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cert = certify.certify_thm9(build(2, 2))
     assert cert.valid
-    assert counts == {"_mim_search": 1, "vocabulary": 1}
+    assert counts == {"_mim_search": 1, "vocabulary": 0}
 
 
 def test_thm10_and_theorem_generators_skip_the_vocabulary(monkeypatch):
     m = build(1, 3)
     vocab = vocabulary(m)
-    want_gens = certify._thm_generators(m, vocab)
+    want_gens = {"B": vocab["B"], "T": vocab["T"],
+                 "SH1p": compose_mc(vocab["S"], vocab["H1p"])}
     want_cert = certify.certify_thm10(m).as_dict()
 
     def no_vocabulary(model):
         raise AssertionError("vocabulary built")
-    monkeypatch.setattr(certify, "vocabulary", no_vocabulary)
+    monkeypatch.setattr(catalog, "vocabulary", no_vocabulary)
     assert certify._thm_generators(m) == want_gens
     assert certify.certify_thm10(m).as_dict() == want_cert
 
@@ -339,7 +335,7 @@ def test_verify_skips_the_vocabulary(monkeypatch, real_certificates):
 
     def no_vocabulary(model):
         raise AssertionError("vocabulary built")
-    monkeypatch.setattr(certify, "vocabulary", no_vocabulary)
+    monkeypatch.setattr(catalog, "vocabulary", no_vocabulary)
     for cert in certs:
         assert certify.verify(cert), cert.kind
 
@@ -460,10 +456,8 @@ def real_certificates(torus, torus_gens):
     """JSON of real certificates: theorem 9 on (1,2) and (1,3), synth A2."""
     out = {f"thm9 ({g},{p})": certify.certify_thm9(build(g, p)).to_json()
            for g, p in ((1, 2), (1, 3))}
-    vocab = vocabulary(torus)
     for name in ("A2", "B"):
-        _, cert = certify.synthesize(torus, vocab[name], torus_gens,
-                                     target_name=name, vocab=vocab)
+        _, cert = certify.synthesize(torus, name, torus_gens)
         out[f"synth {name}"] = cert.to_json()
     return out
 
@@ -530,8 +524,7 @@ def test_verify_rejects_membership_over_other_generators(torus, torus_gens):
     # a true membership claim, but not over B, SH1p, T
     vocab = vocabulary(torus)
     gens = {"B": torus_gens["B"], "A2": vocab["A2"]}
-    _, cert = certify.synthesize(torus, vocab["A2"], gens, target_name="A2",
-                                 vocab=vocab)
+    _, cert = certify.synthesize(torus, "A2", gens)
     assert cert.witness == "A2" and cert.valid
     assert certify.verify(cert) is False
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mcg import certify, cli
+from mcg import catalog, certify, cli
 from mcg.cli import main
 from mcg.grammar import (Term, WordSyntaxError, evaluate_ast, parse_word,
                          print_word)
@@ -224,6 +224,19 @@ def test_cmd_synth(capsys):
     cert = data["certificate"]
     assert cert["witness"] == "T SH1p B SH1p^-1 T^-1"
     assert cert["target"] == "E1"
+
+
+def test_cmd_synth_skips_the_vocabulary(capsys, monkeypatch):
+    def no_vocabulary(model):
+        raise AssertionError("synth must not build the vocabulary")
+    monkeypatch.setattr(catalog, "vocabulary", no_vocabulary)
+    monkeypatch.setattr(cli, "vocabulary", no_vocabulary)
+    code, out, _ = run(capsys, "synth", "--g", "1", "--p", "3", "E2")
+    assert (code, out) == (0, "E2 = T^2 SH1p B SH1p^-1 T^-2\n")
+    code, _, err = run(capsys, "synth", "--g", "1", "--p", "2", "SH1p")
+    assert code == 1
+    assert err == ("usage error: unknown target 'SH1p'; vocabulary: A1, A2, "
+                   "B, DELTA, E0, E1, H12, H1p, N1, R, RHO1, RHO2, S, T, TP\n")
 
 
 def test_cmd_synth_budget(capsys):

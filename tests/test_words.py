@@ -11,7 +11,6 @@ from mcg.words import (
     apply_aut,
     compose,
     concat,
-    conjugacy_witness,
     conjugate,
     cyclic_reduce,
     identity_aut,
@@ -108,24 +107,6 @@ def test_cyclic_reduce_reassembles(w, c):
     core, conj = cyclic_reduce(u)
     assert conjugate(core, conj) == u
     assert core == () or core[0] != -core[-1] or len(core) == 1
-
-
-@given(reduced_words(), reduced_words())
-def test_conjugacy_witness_on_conjugate_pairs(w, c):
-    u = conjugate(w, c)
-    got = conjugacy_witness(u, w)
-    assert got is not None
-    assert conjugate(w, got) == u
-
-
-def test_conjugacy_witness_frozen():
-    u = (2, 1, 3, -1, -2)
-    w = conjugacy_witness(u, (3,))
-    assert w is not None and conjugate((3,), w) == u
-    assert conjugacy_witness((1,), (2,)) is None
-    assert conjugacy_witness((1,), (-1,)) is None
-    assert conjugacy_witness((), ()) == ()
-    assert conjugacy_witness((1, 2), (2, 1)) is not None
 
 
 # ---------------------------------------------------------------------------
