@@ -261,6 +261,17 @@ def test_closure_certificate_flags_small_quotient():
     assert not cert.valid
 
 
+def test_closure_certificate_toy_vacuous():
+    # one puncture: the quotient is the trivial group S_1, no content
+    cert = certify.closure_certificate(
+        [("B", "B"), ("A1", "B"), ("A2", "SH1p B SH1p^-1"),
+         ("E0", "SH1p B SH1p^-1")],
+        [[1]], 1, 1, ["B", "SH1p", "T"])
+    assert cert.valid
+    assert cert.transcript[-1]["op"] == "sym_gen_check"
+    assert cert.transcript[-1]["order"] == 1
+
+
 def test_certificate_json_roundtrip(torus):
     cert = certify.certify_thm10(torus)
     data = json.loads(cert.to_json())
