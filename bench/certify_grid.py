@@ -2,17 +2,20 @@
 
     python3 bench/certify_grid.py [--src DIR] [--label NAME]
 
-For each surface (1,2)..(1,10), (2,2) and (2,3) two times are taken:
-``build`` plus ``certify_thm9``, and ``verify`` of that certificate after
-a JSON round trip (``to_json``, ``json.loads``, ``certificate_from_dict``).
-Each timing runs in a new Python process, so ``mcg`` is imported fresh
-and its table caches are cold; each time is the minimum over 5
-``time.perf_counter`` samples.  A surface whose certificate is not valid or does not verify is recorded
-as such.  ``--src`` names the ``src`` directory to import ``mcg`` from
-(default: the one of this checkout), so another checkout can be timed with
-the same script.  The result is stored under ``--label`` in
-``BENCH_certify.json`` at the root of this checkout; entries under other
-labels are kept.
+For each surface (1,2)..(1,10), (2,2), (2,3), (3,2)..(8,2), (3,3) and
+(4,4) two times are taken: ``build`` plus ``certify_thm9``, and ``verify``
+of that certificate after a JSON round trip (``to_json``, ``json.loads``,
+``certificate_from_dict``).  Each timing runs in a new Python process, so
+``mcg`` is imported fresh and its table caches are cold; each time is the
+minimum over 5 ``time.perf_counter`` samples.  A surface whose
+certificate is not valid or does not verify is recorded as such.  A child
+process that runs longer than 30 s is stopped, and its surface is
+recorded as ``"timed_out": true`` and not sampled again, so a checkout
+whose ``certify_thm9`` searches without end can be timed too.  ``--src``
+names the ``src`` directory to import ``mcg`` from (default: the one of
+this checkout), so another checkout can be timed with the same script.
+The result is stored under ``--label`` in ``BENCH_certify.json`` at the
+root of this checkout; entries under other labels are kept.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_certify.json")
 REPEAT = 5
-SURFACES = [(1, p) for p in range(2, 11)] + [(2, 2), (2, 3)]
+TIMEOUT_S = 30
+SURFACES = [(1, p) for p in range(2, 11)] + [(2, 2), (2, 3)] \
+    + [(g, 2) for g in range(3, 9)] + [(3, 3), (4, 4)]
 
 
 # each timing runs in its own child process; argv[1] is the src directory
@@ -54,7 +59,8 @@ print(json.dumps([time.perf_counter() - start, ok]))
 
 def _child(code: str, *args: str, stdin: str = "") -> str:
     return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
-                          check=True, capture_output=True, text=True).stdout
+                          check=True, capture_output=True, text=True,
+                          timeout=TIMEOUT_S).stdout
 
 
 def _sample(src: str, g: int, p: int) -> tuple[float, float, bool, bool]:
@@ -74,12 +80,17 @@ def main(argv=None) -> int:
     src = os.path.abspath(args.src)
     surfaces = {}
     for g, p in SURFACES:
-        samples = [_sample(src, g, p) for _ in range(REPEAT)]
+        try:
+            samples = [_sample(src, g, p) for _ in range(REPEAT)]
+        except subprocess.TimeoutExpired:
+            surfaces[f"({g},{p})"] = {"timed_out": True}
+            continue
         surfaces[f"({g},{p})"] = {
             "thm9_min_ms": round(min(s[0] for s in samples) * 1e3, 3),
             "verify_min_ms": round(min(s[1] for s in samples) * 1e3, 3),
             "valid": all(s[2] for s in samples),
             "verified": all(s[3] for s in samples),
+            "timed_out": False,
         }
 
     results = {}
@@ -88,6 +99,7 @@ def main(argv=None) -> int:
             results = json.load(fh)
     results[args.label] = {
         "repeat": REPEAT,
+        "timeout_s": TIMEOUT_S,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "surfaces": surfaces,

@@ -320,6 +320,20 @@ def synthesize(model: SurfaceModel, name: str,
                                          generators, print_word(word))
 
 
+def _a1_conjugator(g: int) -> WordAST:
+    """A word f over B and SH1p with f(b) = a1 on genus g >= 2.
+
+    Found by search and checked on (g,2) for g = 2..10, (7,3) and (8,4);
+    not proven for every g, so _derive gates f B f^-1 like any other word.
+    """
+    if g % 2 == 0:
+        head, loop, k = "SH1p B SH1p", "B SH1p^3 B SH1p", (g - 2) // 2
+    else:
+        head = "SH1p B^-1 SH1p^-1 B^-1 SH1p^-2 B^-1 SH1p^-1"
+        loop, k = "B^-1 SH1p^-3 B^-1 SH1p^-1", (g - 3) // 2
+    return parse_word(head) + parse_word(loop) * k
+
+
 def _derive(model: SurfaceModel, name: str,
             generators: dict[str, MappingClass], limits: SearchLimits,
             memo: dict[str, Optional[WordAST]]) -> Optional[WordAST]:
@@ -330,13 +344,21 @@ def _derive(model: SurfaceModel, name: str,
     generator is that generator; E0 is A2 (both are the twist
     tw_through(g, p, 1)); E_j is T^j E0 T^-j and A_i is SH1p A_{i-1}
     SH1p^-1, since f T_c f^-1 = T_f(c) and T moves e0 to e_j while SH1p
-    moves a_{i-1} to a_i.  A rule whose sub-derivation ran out of budget
-    falls through to a search of its own target.  memo maps names to
-    their words for one call: one generator set and one budget.
+    moves a_{i-1} to a_i.  For g >= 2, A1 is f B f^-1 with f of
+    _a1_conjugator, by the same lemma with f(b) = a1; that closed form is
+    not proven for every g, so when it fails the exact gate it falls
+    through to a search like an unruled target.  A rule whose
+    sub-derivation ran out of budget falls through to a search of its own
+    target.  memo maps names to their words for one call: one generator
+    set and one budget.
     """
     if name in memo:
         return memo[name]
     target = generator(model, name)
+
+    def holds(word: WordAST) -> bool:
+        return equal(evaluate_ast(word, generators, model), target)
+
     word = next(((Term(gen, 1),) for gen in sorted(generators)
                  if equal(generators[gen], target)), None)
     kind, index = name[:1], name[1:]
@@ -354,11 +376,20 @@ def _derive(model: SurfaceModel, name: str,
                           memo)
             if sub is not None:
                 word = (Term("SH1p", 1),) + sub + (Term("SH1p", -1),)
+        elif name == "A1" and model.genus >= 2 \
+                and {"B", "SH1p"} <= generators.keys():
+            f = _a1_conjugator(model.genus)
+            word = merge_terms(f + (Term("B", 1),) + tuple(
+                Term(t.base, -t.exp) for t in reversed(f)))
+            if holds(word):
+                memo[name] = word
+                return word
+            word = None
         if word is None:
             word = _mim_search(model, target, generators, limits)
     if word is not None:
         word = merge_terms(word)
-        if not equal(evaluate_ast(word, generators, model), target):
+        if not holds(word):
             raise AssertionError("derivation produced an unverified witness")
     memo[name] = word
     return word

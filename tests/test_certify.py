@@ -168,15 +168,41 @@ def test_synthesize_memo_hit_replays_steps():
 @pytest.mark.parametrize("g, p, searches", [(2, 2, 5), (2, 3, 6)],
                          ids=["g2p2", "g2p3"])
 def test_certify_thm9_search_count_on_budget(monkeypatch, g, p, searches):
-    # depth 1 reaches no A_i and no E_j: A1..A2g and E1..E{p-1} each search
-    # once; B is a generator and E0 reuses the A2 derivation
     calls = []
     search = certify._mim_search
     monkeypatch.setattr(certify, "_mim_search",
                         lambda *a: calls.append(1) or search(*a))
-    cert = certify.certify_thm9(build(g, p), certify.SearchLimits(depth=1))
+    m = build(g, p)
+    # every target follows from B by rules: no search, whatever the budget
+    cert = certify.certify_thm9(m, certify.SearchLimits(depth=1))
+    assert cert.valid and certify.verify(cert)
+    assert calls == []
+    # an A1 closed form that fails the gate falls through to the search
+    # (the empty conjugator gives B, not A1); depth 1 then reaches no A_i
+    # and no E_j: A1..A2g and E1..E{p-1} each search once, B is a
+    # generator and E0 reuses the A2 derivation
+    monkeypatch.setattr(certify, "_a1_conjugator", lambda g: ())
+    cert = certify.certify_thm9(m, certify.SearchLimits(depth=1))
     assert not cert.valid
     assert len(calls) == searches
+
+
+@pytest.mark.parametrize("g, p", [(g, 2) for g in range(2, 8)]
+                         + [(3, 3), (4, 4)])
+def test_a1_closed_form_is_a1(g, p):
+    m = build(g, p)
+    f = print_word(certify._a1_conjugator(g))
+    word = parse_word(f"{f} B ({f})^-1")
+    got = evaluate_ast(word, certify._thm_generators(m), m)
+    assert equal(got, catalog.generator(m, "A1"))
+
+
+@pytest.mark.parametrize("g, p", [(3, 2), (3, 3), (4, 2), (4, 4)])
+def test_certify_thm9_higher_genus_verifies(g, p):
+    cert = certify.certify_thm9(build(g, p))
+    assert cert.valid
+    back = certify.certificate_from_dict(json.loads(cert.to_json()))
+    assert certify.verify(back)
 
 
 def test_synthesize_honest_on_budget_exhaustion(torus, torus_gens):
@@ -188,7 +214,6 @@ def test_synthesize_honest_on_budget_exhaustion(torus, torus_gens):
 
 
 def test_mim_search_finds_short_products(torus, torus_gens):
-    vocab = vocabulary(torus)
     target = compose_mc(torus_gens["B"], torus_gens["T"])
     word = certify._mim_search(torus, target, torus_gens,
                                certify.SearchLimits(depth=4,
@@ -322,7 +347,7 @@ def test_certify_thm9_builds_catalog_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     cert = certify.certify_thm9(build(2, 2))
     assert cert.valid
-    assert counts == {"_mim_search": 1, "vocabulary": 0}
+    assert counts == {"_mim_search": 0, "vocabulary": 0}
 
 
 def test_thm10_and_theorem_generators_skip_the_vocabulary(monkeypatch):

@@ -317,7 +317,17 @@ def test_cmd_verify_malformed_fields(capsys, tmp_path, edit):
     assert code == 2 and "invalid" in out and err == ""
 
 
-def test_cmd_certify_thm9_budget(capsys):
+def test_cmd_certify_thm9_budget(capsys, monkeypatch):
+    # A1 comes by rule and the rest from it, so the budget binds nothing
+    code, out, _ = run(capsys, "certify-thm9", "--g", "2", "--p", "2",
+                       "--max-depth", "1", "--json")
+    assert code == 0
+    _, default, _ = run(capsys, "certify-thm9", "--g", "2", "--p", "2",
+                        "--json")
+    assert json.loads(out)["certificate"] == \
+        json.loads(default)["certificate"]
+    # with a closed form that fails the gate, A1 goes to the search
+    monkeypatch.setattr(certify, "_a1_conjugator", lambda g: ())
     code, out, _ = run(capsys, "certify-thm9", "--g", "2", "--p", "2",
                        "--max-depth", "1", "--json")
     assert code == 3
