@@ -1,12 +1,17 @@
-"""Time ``words.compose`` on two fixed conjugations; write BENCH_words.json.
+"""Time ``words.compose`` and ``catalog.equal`` on fixed conjugations.
 
     python3 bench/words_compose.py [--src DIR] [--label NAME]
 
-Each case is ``compose(T, compose(E, T^-1))`` on the automorphisms of the
+Two cases are ``compose(T, compose(E, T^-1))`` on the automorphisms of the
 rotation ``T`` and a twist ``E`` of the catalog: ``T E1 T^-1`` at (10,2)
-and ``T E15 T^-1`` at (1,16).  The time is the minimum over 20 runs
-of ``time.perf_counter`` around the two calls.  ``--src`` names the
-``src`` directory to import ``mcg`` from (default: the one of this
+and ``T E15 T^-1`` at (1,16).  The product's inverse table is read inside
+the timed region, so a product that builds it on first read pays for the
+same tables as one that builds it at once.  The third case checks the
+relation ``T E1 T^-1 = E0`` at (10,2) (T carries E_j to E_{j+1 mod p}):
+``equal`` of the ``compose_mc`` product and ``E0``.  Every table of the
+generators is built before timing.  Each time is the minimum over 20 runs
+of ``time.perf_counter`` around the calls of the case.  ``--src`` names
+the ``src`` directory to import ``mcg`` from (default: the one of this
 checkout), so another checkout's kernel can be timed with the same script.
 The result is stored under ``--label`` in ``BENCH_words.json`` at the root
 of this checkout; entries under other labels are kept.
@@ -25,6 +30,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_words.json")
 REPEAT = 20
 CASES = (("T E1 T^-1 (10,2)", 10, 2, "E1"), ("T E15 T^-1 (1,16)", 1, 16, "E15"))
+EQUAL_CASE = ("T E1 T^-1 = E0 (10,2)", 10, 2, "E1", "E0")
 
 
 def main(argv=None) -> int:
@@ -34,22 +40,43 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.abspath(args.src))
-    from mcg.catalog import generator
+    from mcg.catalog import compose_mc, equal, generator, inverse_mc
     from mcg.surface import build
     from mcg.words import compose, inverse
+
+    def built(model, name):
+        F = generator(model, name)
+        F.aut.bwd  # every table of the generator, before timing
+        return F
+
+    def best_of(fn):
+        best = float("inf")
+        for _ in range(REPEAT):
+            start = time.perf_counter()
+            out = fn()
+            best = min(best, time.perf_counter() - start)
+        return round(best * 1e3, 3), out
 
     cases = {}
     for name, g, p, twist in CASES:
         model = build(g, p)
-        T, E = generator(model, "T").aut, generator(model, twist).aut
+        T, E = built(model, "T").aut, built(model, twist).aut
         Ti = inverse(T)
-        best = float("inf")
-        for _ in range(REPEAT):
-            start = time.perf_counter()
+
+        def conjugation():
             out = compose(T, compose(E, Ti))
-            best = min(best, time.perf_counter() - start)
-        cases[name] = {"min_ms": round(best * 1e3, 3),
+            out.bwd  # the inverse table too, inside the timed region
+            return out
+
+        ms, out = best_of(conjugation)
+        cases[name] = {"min_ms": ms,
                        "letters": sum(map(len, out.fwd + out.bwd))}
+    name, g, p, twist, image = EQUAL_CASE
+    model = build(g, p)
+    T, E, F = (built(model, n) for n in ("T", twist, image))
+    Ti = inverse_mc(T)
+    ms, verdict = best_of(lambda: equal(compose_mc(T, compose_mc(E, Ti)), F))
+    cases[name] = {"min_ms": ms, "equal": verdict}
 
     results = {}
     if os.path.exists(OUT):

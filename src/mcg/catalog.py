@@ -20,7 +20,6 @@ from .surface import (CurveClass, SurfaceModel, canonicalize, check_curve_name,
 from .words import (
     AutPair,
     Word,
-    abelianized,
     apply_aut,
     compose,
     cyclic_reduce,
@@ -245,19 +244,15 @@ def act_on_curve(F: MappingClass, c: CurveClass) -> CurveClass:
 def equal(F: MappingClass, G: MappingClass) -> bool:
     """Outer equality with matching puncture action and sign.
 
-    Cheap filters (sign, permutation, homology) run before the conjugacy
-    search for an inner witness.
+    Sign and permutation are compared first; ``inner_witness(F, G)`` then
+    filters on homology and solves F = ad(w) G from two images of F G^-1,
+    without building the composite.
     """
     if F.model != G.model:
         raise ValueError("mapping classes live on different surfaces")
     if F.sign != G.sign or F.perm != G.perm:
         return False
-    d = compose(F.aut, inverse(G.aut))
-    n = F.model.rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    if abelianized(d) != ident:
-        return False
-    return inner_witness(d) is not None
+    return inner_witness(F.aut, G.aut) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ Keeping the inverse explicit makes inversion free, composition cheap, and
 turns invertibility into a construction-time certificate instead of a
 search.  ``compose``/``inverse`` preserve the mutual-inverse invariant by
 construction; use :func:`make_aut` when building a pair from raw tables.
+``compose`` builds the forward table at once and the inverse table on its
+first read, since most products only have their forward table read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
@@ -116,13 +118,54 @@ def _substitute(table: Sequence[Word],
     return result
 
 
+class _Pending:
+    """A table not built yet: ``_substitute(outer, inner)``, where each side
+    is a built table or another pending one."""
+
+    __slots__ = ("outer", "inner", "table")
+
+    def __init__(self, outer, inner) -> None:
+        self.outer, self.inner, self.table = outer, inner, None
+
+    def force(self) -> tuple[Word, ...]:
+        """Build this table and those it waits on, with an explicit stack: a
+        product of n factors leaves a chain of n pending tables."""
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node.table is None:
+                sides = (node.outer, node.inner)
+                waiting = [s for s in sides
+                           if type(s) is _Pending and s.table is None]
+                if waiting:
+                    stack.extend(waiting)
+                    continue
+                outer, inner = (s.table if type(s) is _Pending else s
+                                for s in sides)
+                node.table = tuple(_substitute(outer, inner))
+                node.outer = node.inner = None
+            stack.pop()
+        return self.table
+
+
 @dataclass(frozen=True)
 class AutPair:
-    """Automorphism of F_rank: generator images of the map and its inverse."""
+    """Automorphism of F_rank: generator images of the map and its inverse.
+
+    The inverse table may be given pending (see :func:`compose`); ``bwd``
+    builds it on first read and keeps it.  ``fwd`` determines ``bwd``, so
+    equality and hashing are on ``(rank, fwd)``.
+    """
 
     rank: int
     fwd: tuple[Word, ...]
-    bwd: tuple[Word, ...]
+    _bwd: object = field(compare=False, repr=False)
+
+    @property
+    def bwd(self) -> tuple[Word, ...]:
+        if type(self._bwd) is _Pending:
+            object.__setattr__(self, "_bwd", self._bwd.force())
+        return self._bwd
 
 
 def identity_aut(rank: int) -> AutPair:
@@ -153,14 +196,11 @@ def apply_aut(f: AutPair, w: Sequence[int]) -> Word:
 
 
 def compose(f: AutPair, g: AutPair) -> AutPair:
-    """f after g (g is applied first)."""
+    """f after g (g is applied first); the inverse table is built when read."""
     if f.rank != g.rank:
         raise ValueError("rank mismatch")
-    return AutPair(
-        f.rank,
-        tuple(_substitute(f.fwd, g.fwd)),
-        tuple(_substitute(g.bwd, f.bwd)),
-    )
+    return AutPair(f.rank, tuple(_substitute(f.fwd, g.fwd)),
+                   _Pending(g._bwd, f._bwd))
 
 
 def inverse(f: AutPair) -> AutPair:
@@ -197,27 +237,32 @@ def abelianized(f: AutPair) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def inner_witness(f: AutPair) -> Optional[Word]:
-    """A word w with f = ad(w), or None when f is not inner.
+def inner_witness(f: AutPair, g: Optional[AutPair] = None) -> Optional[Word]:
+    """A word w with f = ad(w) g, or None when f, g differ as outer classes.
 
-    Solves f(x_1) = w x_1 w^-1 by cyclic reduction: the core must be the
-    single letter x_1, which pins w up to a right factor x_1^k.  The power
-    k is read off from the equation for x_2, and the resulting candidate is
-    verified on every generator.  Requires rank >= 2 (the centralizer
-    argument needs a second generator).
+    g defaults to the identity.  Inner automorphisms form a normal subgroup,
+    so f = ad(w) g exactly when f(x_i) = w g(x_i) w^-1 for every generator;
+    of f g^-1 only the images of x_1 and x_2 are built.  After the homology
+    filter, f g^-1 (x_1) = w x_1 w^-1 is solved by cyclic reduction: the
+    core must be the single letter x_1, which pins w up to a right factor
+    x_1^k.  The power k is read off from the equation for x_2, and the
+    candidate is verified on every generator.  Requires rank >= 2 (the
+    centralizer argument needs a second generator).
     """
     if f.rank < 2:
         raise ValueError("inner_witness needs rank >= 2")
-    ident = tuple(
-        tuple(1 if i == j else 0 for j in range(f.rank)) for i in range(f.rank)
-    )
-    if abelianized(f) != ident:
+    if g is None:
+        g = identity_aut(f.rank)
+    elif g.rank != f.rank:
+        raise ValueError("rank mismatch")
+    if abelianized(f) != abelianized(g):
         return None
-    core, conj = cyclic_reduce(f.fwd[0])
+    d1, d2 = _substitute(f.fwd, (g.bwd[0], g.bwd[1]))
+    core, conj = cyclic_reduce(d1)
     if core != (1,):
         return None
-    # candidates are conj . x_1^k; match f(x_2) = conj x_1^k x_2 x_1^-k conj^-1
-    v = concat(invert(conj), f.fwd[1], conj)
+    # candidates are conj . x_1^k; match d2 = conj x_1^k x_2 x_1^-k conj^-1
+    v = concat(invert(conj), d2, conj)
     if v == (2,):
         k = 0
     else:
@@ -233,6 +278,6 @@ def inner_witness(f: AutPair) -> Optional[Word]:
     w = concat(conj, power((1,), k))
     wi = invert(w)
     for i in range(f.rank):
-        if f.fwd[i] != concat(w, (i + 1,), wi):
+        if f.fwd[i] != concat(w, g.fwd[i], wi):
             return None
     return w

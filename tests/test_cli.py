@@ -163,6 +163,13 @@ def test_cmd_eq_true_false(capsys):
     assert code == 2 and "false" in out
 
 
+def test_cmd_eq_long_product(capsys):
+    # 3,000 factors fold into a chain of 3,000 pending inverse tables
+    code, out, _ = run(capsys, "eq", "--g", "1", "--p", "2",
+                       "B^3000", " ".join(["B"] * 3000))
+    assert code == 0 and "equal: true" in out
+
+
 def test_cmd_eq_parse_error(capsys):
     code, _, err = run(capsys, "eq", "--g", "1", "--p", "2", "A0", "A1")
     assert code == 1

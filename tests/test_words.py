@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcg.words import (
     AutPair,
+    _substitute,
     abelianized,
     ad_aut,
     apply_aut,
@@ -299,3 +300,58 @@ def test_make_aut_rejects_empty_image():
         make_aut([(), (2,)], [(1,), (2,)])
     with pytest.raises(ValueError):
         make_aut([(1,), (2,)], [(1,), ()])
+
+
+# ---------------------------------------------------------------------------
+# outer equality of a pair, and inverse tables built on first read
+
+
+# x1 -> x2^-1 x1 x2, rest fixed: trivial on homology, not inner at rank >= 3
+partial_conjugation = make_aut(
+    [(-2, 1, 2)] + [(i,) for i in range(2, RANK + 1)],
+    [(2, 1, -2)] + [(i,) for i in range(2, RANK + 1)],
+)
+
+
+@settings(max_examples=200)
+@given(automorphisms, automorphisms, st.lists(letters, max_size=6),
+       st.sampled_from(("any", "inner", "homology-only")))
+def test_inner_witness_of_pair_matches_composite(f, h, w, kind):
+    ad = ad_aut(RANK, reduce_word(w))
+    g = {"any": h, "inner": compose(ad, f),
+         "homology-only": compose(ad, compose(partial_conjugation, f))}[kind]
+    got = inner_witness(f, g)
+    assert got == inner_witness(compose(f, inverse(g)))
+    if kind == "inner":
+        assert got == invert(reduce_word(w))
+    if kind == "homology-only":
+        assert abelianized(f) == abelianized(g) and got is None
+
+
+def test_inner_witness_of_pair_frozen():
+    t = transvection()
+    assert inner_witness(compose(ad_aut(3, (2, -3)), t), t) == (2, -3)
+    assert inner_witness(t, t) == ()
+    assert inner_witness(t, identity_aut(3)) is None
+    with pytest.raises(ValueError):
+        inner_witness(t, identity_aut(4))
+
+
+@settings(max_examples=100)
+@given(automorphisms, automorphisms)
+def test_composed_inverse_table_on_first_read(f, g):
+    c = compose(f, g)
+    assert c.bwd == tuple(_substitute(g.bwd, f.bwd))
+    built = make_aut(c.fwd, c.bwd)
+    assert built == c and hash(built) == hash(compose(f, g))
+
+
+def test_deep_pending_chain_forces_without_recursion():
+    # every factor leaves one pending inverse table, on either side
+    t, ti = transvection(), inverse(transvection())
+    right = left = identity_aut(3)
+    for k in range(3000):
+        right = compose(right, t if k % 2 else ti)
+        left = compose(ti if k % 2 else t, left)
+    ident = identity_aut(3).bwd
+    assert right.bwd == ident and left.bwd == ident
