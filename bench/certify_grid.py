@@ -1,6 +1,6 @@
 """Time ``certify_thm9`` and ``verify`` per surface; write BENCH_certify.json.
 
-    python3 bench/certify_grid.py [--src DIR] [--label NAME]
+    python3 bench/certify_grid.py [--side LABEL=SRC ...]
 
 For each surface (1,2)..(1,10), (2,2), (2,3), (3,2)..(8,2), (3,3) and
 (4,4) two times are taken: ``build`` plus ``certify_thm9``, and ``verify``
@@ -10,12 +10,16 @@ of that certificate after a JSON round trip (``to_json``, ``json.loads``,
 minimum over 5 ``time.perf_counter`` samples.  A surface whose
 certificate is not valid or does not verify is recorded as such.  A child
 process that runs longer than 30 s is stopped, and its surface is
-recorded as ``"timed_out": true`` and not sampled again, so a checkout
-whose ``certify_thm9`` searches without end can be timed too.  ``--src``
-names the ``src`` directory to import ``mcg`` from (default: the one of
-this checkout), so another checkout can be timed with the same script.
-The result is stored under ``--label`` in ``BENCH_certify.json`` at the
-root of this checkout; entries under other labels are kept.
+recorded as ``"timed_out": true`` for that side and not sampled again, so
+a checkout whose ``certify_thm9`` searches without end can be timed too.
+
+Each ``--side LABEL=SRC`` names a ``src`` directory to import ``mcg``
+from (default: ``current`` = the one of this checkout).  Give two or more
+to compare checkouts: the sides take turns within each surface's samples,
+the order flipping every round, so drift of the machine during the run
+falls on every side alike.  Each side's result is stored under its label
+in ``BENCH_certify.json`` at the root of this checkout; entries under
+other labels are kept.
 """
 
 from __future__ import annotations
@@ -71,43 +75,70 @@ def _sample(src: str, g: int, p: int) -> tuple[float, float, bool, bool]:
     return thm9_s, verify_s, valid, ok
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
-    parser.add_argument("--label", default="current")
-    args = parser.parse_args(argv)
+def _side(text: str) -> tuple[str, str]:
+    label, sep, src = text.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {text!r}")
+    return label, os.path.abspath(src)
 
-    src = os.path.abspath(args.src)
-    surfaces = {}
-    for g, p in SURFACES:
-        try:
-            samples = [_sample(src, g, p) for _ in range(REPEAT)]
-        except subprocess.TimeoutExpired:
-            surfaces[f"({g},{p})"] = {"timed_out": True}
+
+def _surface(sides: list[tuple[str, str]], g: int, p: int) -> dict:
+    """Every side's entry for one surface, sides alternating per sample."""
+    samples = {label: [] for label, _ in sides}
+    timed_out = set()
+    for r in range(REPEAT):
+        for label, src in sides if r % 2 == 0 else sides[::-1]:
+            if label in timed_out:
+                continue
+            try:
+                samples[label].append(_sample(src, g, p))
+            except subprocess.TimeoutExpired:
+                timed_out.add(label)
+    out = {}
+    for label, got in samples.items():
+        if label in timed_out:
+            out[label] = {"timed_out": True}
             continue
-        surfaces[f"({g},{p})"] = {
-            "thm9_min_ms": round(min(s[0] for s in samples) * 1e3, 3),
-            "verify_min_ms": round(min(s[1] for s in samples) * 1e3, 3),
-            "valid": all(s[2] for s in samples),
-            "verified": all(s[3] for s in samples),
+        out[label] = {
+            "thm9_min_ms": round(min(s[0] for s in got) * 1e3, 3),
+            "verify_min_ms": round(min(s[1] for s in got) * 1e3, 3),
+            "valid": all(s[2] for s in got),
+            "verified": all(s[3] for s in got),
             "timed_out": False,
         }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--side", type=_side, action="append",
+                        metavar="LABEL=SRC")
+    args = parser.parse_args(argv)
+
+    sides = args.side or [("current", os.path.join(ROOT, "src"))]
+    if len({label for label, _ in sides}) != len(sides):
+        parser.error("side labels must differ")
+    surfaces = {label: {} for label, _ in sides}
+    for g, p in SURFACES:
+        for label, entry in _surface(sides, g, p).items():
+            surfaces[label][f"({g},{p})"] = entry
 
     results = {}
     if os.path.exists(OUT):
         with open(OUT) as fh:
             results = json.load(fh)
-    results[args.label] = {
-        "repeat": REPEAT,
-        "timeout_s": TIMEOUT_S,
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "surfaces": surfaces,
-    }
+    for label, _ in sides:
+        results[label] = {
+            "repeat": REPEAT,
+            "timeout_s": TIMEOUT_S,
+            "python": platform.python_version(),
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+            "surfaces": surfaces[label],
+        }
     with open(OUT, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps({args.label: surfaces}))
+    print(json.dumps(surfaces))
     return 0
 
 

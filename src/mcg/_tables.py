@@ -10,13 +10,14 @@ last puncture is not a free letter; it is carried by the derived word
 
 so that the product of all handle commutators and puncture loops is 1.
 
-Every table here was derived once from an explicit planar realization
-(handles in a row, punctures in a row, basepoint below both rows) by
-tracking each generator arc across the support annulus of the class, and
-is frozen as data.  Correctness is enforced by the relation suite in the
-catalog module, which exercises braid, chain, disjointness, involution,
-and peripheral laws over the test grid; the tables themselves make no
-appeal to the drawing they came from.
+This module is the one source of every generator table.  The twists,
+half twists, pushes and the mirror were derived once from an explicit
+planar realization (handles in a row, punctures in a row, basepoint below
+both rows) by tracking each generator arc across the support annulus of
+the class, and are frozen as data; every other table is a product of them.
+Correctness is enforced by the relation suite in the catalog module, which
+exercises braid, chain, disjointness, involution, and peripheral laws over
+the test grid; the tables themselves make no appeal to the drawing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .words import (
     inverse,
     invert,
     make_aut,
-    power,
 )
 
 
@@ -77,20 +77,12 @@ def _ident_tables(n: int) -> list[Word]:
     return [(i,) for i in range(1, n + 1)]
 
 
-def _signed(plus: AutPair, s: int) -> AutPair:
-    if s == 1:
-        return plus
-    if s == -1:
-        return inverse(plus)
-    raise ValueError("sign must be +1 or -1")
-
-
 # ---------------------------------------------------------------------------
 # twists about the frozen curve catalog
 
 
 @lru_cache(maxsize=None)
-def tw_hole(g: int, p: int, i: int, s: int = 1) -> AutPair:
+def tw_hole(g: int, p: int, i: int) -> AutPair:
     """Right twist about the circle around the i-th handle's near foot.
 
     i = 1 is the first chain curve; i = 2 is the extra generator curve
@@ -103,11 +95,11 @@ def tw_hole(g: int, p: int, i: int, s: int = 1) -> AutPair:
     fwd, bwd = _ident_tables(n), _ident_tables(n)
     fwd[B - 1] = (B, -A)
     bwd[B - 1] = (B, A)
-    return _signed(make_aut(fwd, bwd), s)
+    return make_aut(fwd, bwd)
 
 
 @lru_cache(maxsize=None)
-def tw_through(g: int, p: int, i: int, s: int = 1) -> AutPair:
+def tw_through(g: int, p: int, i: int) -> AutPair:
     """Right twist about the circle running through the i-th handle."""
     if not 1 <= i <= g:
         raise ValueError("handle index out of range")
@@ -116,11 +108,11 @@ def tw_through(g: int, p: int, i: int, s: int = 1) -> AutPair:
     fwd, bwd = _ident_tables(n), _ident_tables(n)
     fwd[A - 1] = (A, B)
     bwd[A - 1] = (A, -B)
-    return _signed(make_aut(fwd, bwd), s)
+    return make_aut(fwd, bwd)
 
 
 @lru_cache(maxsize=None)
-def tw_pair(g: int, p: int, i: int, s: int = 1) -> AutPair:
+def tw_pair(g: int, p: int, i: int) -> AutPair:
     """Right twist about the circle enclosing the feet of handles i, i+1."""
     if not 1 <= i <= g - 1:
         raise ValueError("pair index out of range")
@@ -134,11 +126,11 @@ def tw_pair(g: int, p: int, i: int, s: int = 1) -> AutPair:
     bwd[B - 1] = (-C, B, A)
     bwd[C - 1] = (-C, B, A, -B, C, B, -A, -B, C)
     bwd[D - 1] = (D, B, -A, -B, C)
-    return _signed(make_aut(fwd, bwd), s)
+    return make_aut(fwd, bwd)
 
 
 @lru_cache(maxsize=None)
-def tw_separating(g: int, p: int, s: int = 1) -> AutPair:
+def tw_separating(g: int, p: int) -> AutPair:
     """Right twist about the curve separating handles from punctures."""
     n = rank_of(g, p)
     U = _conj_word(g)
@@ -148,11 +140,11 @@ def tw_separating(g: int, p: int, s: int = 1) -> AutPair:
         gk = g_letter(g, k)
         fwd[gk - 1] = concat(U, (gk,), Ui)
         bwd[gk - 1] = concat(Ui, (gk,), U)
-    return _signed(make_aut(fwd, bwd), s)
+    return make_aut(fwd, bwd)
 
 
 @lru_cache(maxsize=None)
-def half_twist(g: int, p: int, j: int, s: int = 1) -> AutPair:
+def half_twist(g: int, p: int, j: int) -> AutPair:
     """Half twist swapping punctures j and j+1 along the puncture row."""
     if not 1 <= j <= p - 1:
         raise ValueError("half-twist index out of range")
@@ -171,11 +163,11 @@ def half_twist(g: int, p: int, j: int, s: int = 1) -> AutPair:
         pref = tuple(-g_letter(g, k) for k in range(p - 2, 0, -1))
         fwd[gl - 1] = concat(pref, U, (-gl,))
         bwd[gl - 1] = concat((-gl,), pref, U)
-    return _signed(make_aut(fwd, bwd), s)
+    return make_aut(fwd, bwd)
 
 
 @lru_cache(maxsize=None)
-def tw_two_puncture(g: int, p: int, j: int, s: int = 1) -> AutPair:
+def tw_two_puncture(g: int, p: int, j: int) -> AutPair:
     """Right twist about the boundary of a neighborhood of punctures j, j+1.
 
     Equals the square of half_twist(g, p, j); kept as an independent frozen
@@ -199,7 +191,7 @@ def tw_two_puncture(g: int, p: int, j: int, s: int = 1) -> AutPair:
         ci = invert(c)
         fwd[gl - 1] = concat(c, (gl,), ci)
         bwd[gl - 1] = concat(ci, (gl,), c)
-    return _signed(make_aut(fwd, bwd), s)
+    return make_aut(fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +199,7 @@ def tw_two_puncture(g: int, p: int, j: int, s: int = 1) -> AutPair:
 
 
 @lru_cache(maxsize=None)
-def push_over(g: int, p: int, i: int, s: int = 1) -> AutPair:
+def push_over(g: int, p: int, i: int) -> AutPair:
     """Push puncture 1 around the loop over the i-th handle."""
     if not 1 <= i <= g:
         raise ValueError("handle index out of range")
@@ -233,11 +225,11 @@ def push_over(g: int, p: int, i: int, s: int = 1) -> AutPair:
         gk = g_letter(g, k)
         fwd[gk - 1] = concat(w, (gk,), wi)
         bwd[gk - 1] = concat(wp, (gk,), wpi)
-    return _signed(make_aut(fwd, bwd), s)
+    return make_aut(fwd, bwd)
 
 
 @lru_cache(maxsize=None)
-def push_through(g: int, p: int, i: int, s: int = 1) -> AutPair:
+def push_through(g: int, p: int, i: int) -> AutPair:
     """Push puncture 1 around the loop through the i-th handle."""
     if not 1 <= i <= g:
         raise ValueError("handle index out of range")
@@ -263,7 +255,7 @@ def push_through(g: int, p: int, i: int, s: int = 1) -> AutPair:
         gk = g_letter(g, k)
         fwd[gk - 1] = concat(v, (gk,), vi)
         bwd[gk - 1] = concat(vp, (gk,), vpi)
-    return _signed(make_aut(fwd, bwd), s)
+    return make_aut(fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +299,15 @@ def power_aut(f: AutPair, k: int) -> AutPair:
     return fold([f] * k)
 
 
-def chain_twist(g: int, p: int, i: int, s: int = 1) -> AutPair:
+def chain_twist(g: int, p: int, i: int) -> AutPair:
     """The i-th twist of the 2g-long chain: hole, through, pair, through, ..."""
     if not 1 <= i <= 2 * g:
         raise ValueError("chain index out of range")
     if i % 2 == 0:
-        return tw_through(g, p, i // 2, s)
+        return tw_through(g, p, i // 2)
     if i == 1:
-        return tw_hole(g, p, 1, s)
-    return tw_pair(g, p, (i - 1) // 2, s)
+        return tw_hole(g, p, 1)
+    return tw_pair(g, p, (i - 1) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -370,8 +362,8 @@ def annulus_frame(g: int, p: int) -> AutPair:
     so its images close up after p steps and are pairwise distinct.
     Needs g >= 2.
     """
-    twists = [tw_hole(g, p, g, -1)]
-    twists += [chain_twist(g, p, i, -1) for i in range(2 * g, 2, -1)]
+    twists = [inverse(tw_hole(g, p, g))]
+    twists += [inverse(chain_twist(g, p, i)) for i in range(2 * g, 2, -1)]
     twists += [chain_twist(g, p, 1), push_over(g, p, 1)]
     return fold(twists)
 
@@ -440,8 +432,8 @@ def curve_rotation(g: int, p: int) -> AutPair:
     if g == 1:
         return compose(pa1, drot)
     if p == 2:
-        core = fold([pa1, drot, inverse(pa1), push_through(g, p, 1, -1)])
-        z = fold([push_through(g, p, i, -1) for i in range(2, g + 1)])
+        core = fold([pa1, drot, inverse(pa1), inverse(push_through(g, p, 1))])
+        z = fold([inverse(push_through(g, p, i)) for i in range(2, g + 1)])
         return fold([inverse(z), core, z])
     return _in_annulus_frame(g, p, annulus_rotation(g, p))
 
@@ -453,6 +445,22 @@ def rotation_power(g: int, p: int, j: int) -> AutPair:
         raise ValueError("rotation powers start at 1")
     rot = curve_rotation(g, p)
     return rot if j == 1 else compose(rot, rotation_power(g, p, j - 1))
+
+
+def family_twist(g: int, p: int, j: int) -> AutPair:
+    """The twist about e_j: rot^j E0 rot^-j, with E0 the twist through
+    handle 1.  Not cached: the E_j tables are long and read briefly."""
+    e0 = tw_through(g, p, 1)
+    if j == 0:
+        return e0
+    rot = rotation_power(g, p, j)
+    return compose(rot, compose(e0, inverse(rot)))
+
+
+def reflected_rotation(g: int, p: int) -> AutPair:
+    """The orientation-reversing rotation T', the mirror after rho2; not
+    cached, as family_twist."""
+    return compose(mirror(g, p), back_involution(g, p))
 
 
 @lru_cache(maxsize=None)

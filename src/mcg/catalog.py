@@ -2,9 +2,10 @@
 
 A mapping class is carried as an outer automorphism of the surface group
 together with its induced puncture permutation and orientation sign.  The
-permutation and sign are not declared by the constructors: they are read
-off the automorphism by matching the image of each puncture loop against
-the peripheral classes, so a bad table cannot ship a plausible-looking
+catalog builds no table: each generator wraps the table of one ``_tables``
+function (``_makers``), and its permutation and sign are read off the
+automorphism by matching the image of each puncture loop against the
+peripheral classes, so a bad table cannot ship a plausible-looking
 wrapper.  Equality of mapping classes is equality of outer automorphisms
 with matching permutation and sign.
 """
@@ -12,7 +13,7 @@ with matching permutation and sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from . import _tables as tables
 from .surface import (CurveClass, SurfaceModel, canonicalize, check_curve_name,
@@ -103,84 +104,10 @@ def identity_mc(model: SurfaceModel) -> MappingClass:
 
 
 def twist(model: SurfaceModel, name: str) -> MappingClass:
-    """Right-handed Dehn twist about a named catalog curve."""
-    g, p = model.genus, model.punctures
+    """Right-handed Dehn twist about a named catalog curve: the generator
+    named by the upper-cased curve name (a1 -> A1, delta -> DELTA)."""
     check_curve_name(model, name)
-    if name == "b":
-        aut = tables.tw_hole(g, p, 1) if g == 1 else tables.tw_hole(g, p, 2)
-        return _mk(model, aut, "B", SIGMA_ONLY)
-    if name == "delta":
-        return _mk(model, tables.tw_separating(g, p), "DELTA", GLOBAL)
-    kind, idx = name[:1], int(name[1:])
-    if kind == "a":
-        return _mk(model, tables.chain_twist(g, p, idx), f"A{idx}", SIGMA_ONLY)
-    if kind == "n":
-        return _mk(model, tables.tw_two_puncture(g, p, idx), f"N{idx}", DISK_ONLY)
-    # rotating family: E_j is the E_0 twist transported j steps
-    if idx == 0:
-        return _mk(model, tables.tw_through(g, p, 1), "E0", SIGMA_ONLY)
-    rot = tables.rotation_power(g, p, idx)
-    aut = compose(rot, compose(tables.tw_through(g, p, 1), inverse(rot)))
-    return _mk(model, aut, f"E{idx}", GLOBAL)
-
-
-def half_twist(model: SurfaceModel, j: int) -> MappingClass:
-    """Half twist swapping adjacent punctures j, j+1."""
-    if model.punctures < 2:
-        raise ValueError("half twists need at least two punctures")
-    aut = tables.half_twist(model.genus, model.punctures, j)
-    return _mk(model, aut, f"H{j}{j + 1}", DISK_ONLY)
-
-
-def half_twist_1p(model: SurfaceModel) -> MappingClass:
-    """Half twist along the below-the-row arc joining punctures 1 and p."""
-    if model.punctures < 2:
-        raise ValueError("half twists need at least two punctures")
-    aut = tables.swap_1p(model.genus, model.punctures)
-    return _mk(model, aut, "H1p", DISK_ONLY)
-
-
-def rho1(model: SurfaceModel) -> MappingClass:
-    """First half-turn of the symmetric picture."""
-    if model.punctures < 2:
-        raise ValueError("the half-turn pair needs at least two punctures")
-    aut = tables.front_involution(model.genus, model.punctures)
-    return _mk(model, aut, "RHO1", GLOBAL)
-
-
-def rho2(model: SurfaceModel) -> MappingClass:
-    """Second half-turn, offset one step along the puncture row."""
-    if model.punctures < 2:
-        raise ValueError("the half-turn pair needs at least two punctures")
-    aut = tables.back_involution(model.genus, model.punctures)
-    return _mk(model, aut, "RHO2", GLOBAL)
-
-
-def rotation_T(model: SurfaceModel) -> MappingClass:
-    """The rotation class: the first half-turn after the second."""
-    T = compose_mc(rho1(model), rho2(model))
-    return MappingClass(T.model, T.aut, T.perm, T.sign, "T", GLOBAL)
-
-
-def s_product(model: SurfaceModel) -> MappingClass:
-    """Product of all chain twists; conjugation by it shifts the chain."""
-    g = model.genus
-    aut = tables.chain_product(g, model.punctures)
-    name = "·".join(f"A{i}" for i in range(2 * g, 0, -1))
-    return _mk(model, aut, name, SIGMA_ONLY)
-
-
-def reflection_R(model: SurfaceModel) -> MappingClass:
-    """The orientation-reversing reflection of the row picture."""
-    if model.punctures < 2:
-        raise ValueError("the reflection pairs with rho2; needs p >= 2")
-    return _mk(model, tables.mirror(model.genus, model.punctures), "R", GLOBAL)
-
-
-def t_prime(model: SurfaceModel) -> MappingClass:
-    """The orientation-reversing rotation: reflection after rho2."""
-    TP = compose_mc(reflection_R(model), rho2(model))
-    return MappingClass(TP.model, TP.aut, TP.perm, TP.sign, "TP", GLOBAL)
+    return generator(model, name.upper())
 
 
 # ---------------------------------------------------------------------------
@@ -401,27 +328,36 @@ def validate(model: SurfaceModel) -> ValidationReport:
 
 
 def _makers(model: SurfaceModel) -> dict[str, tuple]:
-    # generator name -> (constructor, extra arguments), in vocabulary order
+    """Generator name -> (support, _tables function, extra arguments), in
+    vocabulary order; the table is function(g, p, *arguments)."""
     g, p = model.genus, model.punctures
     out: dict[str, tuple] = {}
     for i in range(1, 2 * g + 1):
-        out[f"A{i}"] = (twist, f"a{i}")
-    out["B"] = (twist, "b")
-    out["DELTA"] = (twist, "delta")
+        out[f"A{i}"] = (SIGMA_ONLY, tables.chain_twist, i)
+    out["B"] = (SIGMA_ONLY, tables.tw_hole, 1 if g == 1 else 2)
+    out["DELTA"] = (GLOBAL, tables.tw_separating)
     for j in range(p):
-        out[f"E{j}"] = (twist, f"e{j}")
+        out[f"E{j}"] = (GLOBAL if j else SIGMA_ONLY, tables.family_twist, j)
     for j in range(1, p):
-        out[f"H{j}{j + 1}"] = (half_twist, j)
-        out[f"N{j}"] = (twist, f"n{j}")
+        out[f"H{j}{j + 1}"] = (DISK_ONLY, tables.half_twist, j)
+        out[f"N{j}"] = (DISK_ONLY, tables.tw_two_puncture, j)
     if p >= 2:
-        out["H1p"] = (half_twist_1p,)
-        out["RHO1"] = (rho1,)
-        out["RHO2"] = (rho2,)
-        out["T"] = (rotation_T,)
-        out["R"] = (reflection_R,)
-        out["TP"] = (t_prime,)
-    out["S"] = (s_product,)
+        out["H1p"] = (DISK_ONLY, tables.swap_1p)
+        out["RHO1"] = (GLOBAL, tables.front_involution)
+        out["RHO2"] = (GLOBAL, tables.back_involution)
+        out["T"] = (GLOBAL, tables.curve_rotation)
+        out["R"] = (GLOBAL, tables.mirror)
+        out["TP"] = (GLOBAL, tables.reflected_rotation)
+    out["S"] = (SIGMA_ONLY, tables.chain_product)
     return out
+
+
+def _build(model: SurfaceModel, name: str, support: str, table: Callable,
+           *args) -> MappingClass:
+    g, p = model.genus, model.punctures
+    # the provenance is the name, except S keeps the product it stands for
+    prov = "·".join(f"A{i}" for i in range(2 * g, 0, -1)) if name == "S" else name
+    return _mk(model, table(g, p, *args), prov, support)
 
 
 def generator_names(model: SurfaceModel) -> list[str]:
@@ -436,15 +372,16 @@ def generator_names(model: SurfaceModel) -> list[str]:
 
 
 def generator(model: SurfaceModel, name: str) -> MappingClass:
-    """The named generator class alone, without building the others."""
+    """The named generator class alone, without building the others: its
+    table from _tables, wrapped by _mk."""
     try:
-        make, *args = _makers(model)[name]
+        entry = _makers(model)[name]
     except KeyError:
         raise ValueError(f"unknown generator {name!r}") from None
-    return make(model, *args)
+    return _build(model, name, *entry)
 
 
 def vocabulary(model: SurfaceModel) -> dict[str, MappingClass]:
     """The named generator set exposed to the word grammar and searches."""
-    return {name: make(model, *args)
-            for name, (make, *args) in _makers(model).items()}
+    return {name: _build(model, name, *entry)
+            for name, entry in _makers(model).items()}

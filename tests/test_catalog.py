@@ -2,15 +2,15 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from functools import reduce
 
 import pytest
 
 from mcg import catalog
-from mcg.catalog import (GLOBAL, _mk, act_on_curve, compose_mc, equal,
-                         generator, generator_names, half_twist,
-                         half_twist_1p, identity_mc, inverse_mc, power_mc,
-                         rho1, rho2, rotation_T, s_product, twist, validate,
+from mcg.catalog import (GLOBAL, _mk, _peripheral_action, act_on_curve,
+                         compose_mc, equal, generator, generator_names,
+                         identity_mc, inverse_mc, power_mc, twist, validate,
                          vocabulary)
 from mcg import _tables as tables
 from mcg.surface import build, canonicalize, curve, curve_names
@@ -79,14 +79,14 @@ def test_equal_ignores_provenance_strings(model):
 def test_half_twist_square_is_two_puncture_twist():
     m = build(1, 3)
     for j in (1, 2):
-        H = half_twist(m, j)
+        H = generator(m, f"H{j}{j + 1}")
         assert H.perm[j - 1] == j + 1 and H.perm[j] == j
         assert equal(compose_mc(H, H), twist(m, f"n{j}"))
 
 
 def test_half_twist_1p_swaps_outer_punctures():
     m = build(1, 3)
-    H = half_twist_1p(m)
+    H = generator(m, "H1p")
     assert H.perm == (3, 2, 1)
     sq = compose_mc(H, H)
     assert sq.perm == (1, 2, 3)
@@ -94,39 +94,39 @@ def test_half_twist_1p_swaps_outer_punctures():
 
 def test_rotation_perm_is_long_cycle(model):
     p = model.punctures
-    T = rotation_T(model)
+    T = generator(model, "T")
     assert T.perm == tuple(list(range(2, p + 1)) + [1])
     assert T.sign == 1
 
 
 def test_rotation_power_p_is_pure(model):
     p = model.punctures
-    Tp = power_mc(rotation_T(model), p)
+    Tp = power_mc(generator(model, "T"), p)
     assert Tp.perm == tuple(range(1, p + 1))
 
 
 def test_involutions(model):
     ident = identity_mc(model)
-    for F in (rho1(model), rho2(model)):
+    for F in (generator(model, "RHO1"), generator(model, "RHO2")):
         assert F.sign == 1
         assert equal(compose_mc(F, F), ident)
 
 
 def test_rho_composition_recovers_rotation(model):
     # the front and back involutions multiply to the rotation
-    T = rotation_T(model)
-    got = compose_mc(rho1(model), rho2(model))
+    T = generator(model, "T")
+    got = compose_mc(generator(model, "RHO1"), generator(model, "RHO2"))
     assert equal(got, T)
 
 
 def test_rho_perms_reverse(model):
     p = model.punctures
-    r1 = rho1(model)
+    r1 = generator(model, "RHO1")
     assert r1.perm == tuple(range(p, 0, -1))
 
 
 def test_s_conjugation_climbs_the_chain(model):
-    S = s_product(model)
+    S = generator(model, "S")
     g = model.genus
     for i in range(1, 2 * g):
         lhs = compose_mc(S, compose_mc(twist(model, f"a{i}"), inverse_mc(S)))
@@ -135,7 +135,7 @@ def test_s_conjugation_climbs_the_chain(model):
 
 def test_rotation_conjugates_curve_family(model):
     p = model.punctures
-    T = rotation_T(model)
+    T = generator(model, "T")
     for j in range(p):
         image = act_on_curve(T, curve(model, f"e{j}"))
         assert image == curve(model, f"e{(j + 1) % p}")
@@ -143,7 +143,7 @@ def test_rotation_conjugates_curve_family(model):
 
 def test_rotation_conjugates_twist_family(model):
     p = model.punctures
-    T = rotation_T(model)
+    T = generator(model, "T")
     for j in range(p):
         lhs = compose_mc(T, compose_mc(twist(model, f"e{j}"), inverse_mc(T)))
         assert equal(lhs, twist(model, f"e{(j + 1) % p}"))
@@ -169,7 +169,7 @@ def test_closure_condition_where_rho1_fixes_e0(gp):
     # the condition stated in the curve_rotation docstring for g = 1, p = 2
     m = build(*gp)
     p = m.punctures
-    r1, r2 = rho1(m), rho2(m)
+    r1, r2 = generator(m, "RHO1"), generator(m, "RHO2")
     e = [curve(m, f"e{j}") for j in range(p)]
     assert act_on_curve(r1, e[0]) == e[0]
     for j in range(p):
@@ -196,7 +196,7 @@ def test_annulus_frame_pieces(gp):
     e0 = curve(m, "e0")
     assert act_on_curve(plain_turn, e0) == e0
     assert act_on_curve(rot, e0) == e0
-    assert act_on_curve(rho1(m), e0) != e0
+    assert act_on_curve(generator(m, "RHO1"), e0) != e0
     inside = canonicalize(apply_aut(frame, e0.word))
     assert act_on_curve(rot, inside) != inside
     assert act_on_curve(power_mc(rot, p), inside) == inside
@@ -234,15 +234,36 @@ def test_braid_relation_on_chain():
 
 def test_peripheral_structure_of_catalog(model):
     # stored puncture data must agree with the automorphism action
-    from mcg.catalog import _peripheral_action
     for name, F in sorted(vocabulary(model).items()):
         assert _peripheral_action(model, F.aut) == (F.perm, F.sign), name
+
+
+def test_products_keep_their_peripheral_action(model):
+    # compose_mc, inverse_mc and power_mc carry perm and sign by algebra,
+    # not by reading the table; the two must agree
+    vocab = vocabulary(model)
+    p = model.punctures
+    products = [compose_mc(vocab["RHO1"], vocab["RHO2"]),
+                compose_mc(vocab["R"], vocab["RHO2"])]
+    products += [power_mc(vocab["T"], k) for k in range(-p, p + 1)]
+    sh1p = compose_mc(vocab["S"], vocab["H1p"])
+    products += [power_mc(sh1p, k) for k in range(-3, 4)]
+    rng = random.Random(1000 * model.genus + p)
+    names = sorted(vocab)
+    for _ in range(20):
+        factors = [vocab[n] if rng.random() < 0.5 else inverse_mc(vocab[n])
+                   for n in rng.choices(names, k=3)]
+        products.append(reduce(compose_mc, factors))
+    assert {F.sign for F in products} == {1, -1}
+    assert len({F.perm for F in products}) == math.factorial(p)
+    for F in products:
+        assert _peripheral_action(model, F.aut) == (F.perm, F.sign), F.provenance
 
 
 def test_support_guards():
     m = build(1, 2)
     A1 = twist(m, "a1")
-    H = half_twist_1p(m)
+    H = generator(m, "H1p")
     # sigma-side classes fix every puncture loop letter; disk-side classes
     # fix every handle letter
     for k in (3,):
@@ -281,7 +302,8 @@ def test_twist_rejects_unknown_names_like_curve(model):
         assert str(from_twist.value).startswith(f"unknown curve {nm!r}")
 
 
-@pytest.mark.parametrize("gp", [(1, 2), (1, 3), (2, 2), (2, 3), (1, 11)])
+@pytest.mark.parametrize("gp", [(1, 2), (1, 3), (2, 2), (2, 3), (1, 11), (1, 1),
+                                (2, 1)])
 def test_generator_names_and_generator_match_vocabulary(gp):
     m = build(*gp)
     vocab = vocabulary(m)
@@ -333,6 +355,8 @@ FROZEN_TABLES = {
     (2, 2): "53239749633db4aba307539db415185a539cdfc40c76e1b2c84d0a0e5706143d",
     (2, 3): "23183d18a10a8d42a556477e2113f33cb2e3262ce7211caadf33014c7923b01f",
     (7, 2): "d38eb16bccb2437c294d1a7aeea648f72e26d540bdda706b0d2e8a93ff0d9d54",
+    (1, 5): "8f6301587a9d1e9d546fdd0b96746b53aaa2dd4597680e197d35b84c8fa463bb",
+    (3, 3): "865cedbd71fcea2605d7d39c89cdfa147dc38428d6a6aa97fbbbc256ad8ee613",
 }
 
 
