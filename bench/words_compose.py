@@ -6,13 +6,16 @@ Two cases are ``compose(T, compose(E, T^-1))`` on the automorphisms of the
 rotation ``T`` and a twist ``E`` of the catalog: ``T E1 T^-1`` at (10,2)
 and ``T E15 T^-1`` at (1,16).  The product's inverse table is read inside
 the timed region, so a product that builds it on first read pays for the
-same tables as one that builds it at once.  The third case checks the
-relation ``T E1 T^-1 = E0`` at (10,2) (T carries E_j to E_{j+1 mod p}):
-``equal`` of the ``compose_mc`` product and ``E0``.  Every table of the
-generators is built before timing.  Each time is the minimum over 20 runs
-of ``time.perf_counter`` around the calls of the case.  ``--src`` names
-the ``src`` directory to import ``mcg`` from (default: the one of this
-checkout), so another checkout's kernel can be timed with the same script.
+same tables as one that builds it at once.  The other cases time
+``equal`` of a ``compose_mc`` product and a class at (10,2): the relations
+``T E1 T^-1 = E0`` and ``T E0 T^-1 = E1`` (T carries E_j to E_{j+1 mod p}),
+whose two sides come out with identical tables, and ``RHO2^2 = 1``, whose
+sides differ by an inner automorphism, so ``inner_witness`` solves for it.
+Every table of the generators is built before timing.  Each time is the
+minimum over 20 runs of ``time.perf_counter`` around the calls of the
+case.  ``--src`` names the ``src`` directory to import ``mcg`` from
+(default: the one of this checkout), so another checkout's kernel can be
+timed with the same script.
 The result is stored under ``--label`` in ``BENCH_words.json`` at the root
 of this checkout; entries under other labels are kept.
 """
@@ -30,7 +33,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_words.json")
 REPEAT = 20
 CASES = (("T E1 T^-1 (10,2)", 10, 2, "E1"), ("T E15 T^-1 (1,16)", 1, 16, "E15"))
-EQUAL_CASE = ("T E1 T^-1 = E0 (10,2)", 10, 2, "E1", "E0")
+# (name, g, p, left side as (generator, exponent +-1) factors, right side;
+# None for the identity)
+EQUAL_CASES = (
+    ("T E1 T^-1 = E0 (10,2)", 10, 2, (("T", 1), ("E1", 1), ("T", -1)), "E0"),
+    ("T E0 T^-1 = E1 (10,2)", 10, 2, (("T", 1), ("E0", 1), ("T", -1)), "E1"),
+    ("RHO2^2 = 1 (10,2)", 10, 2, (("RHO2", 1), ("RHO2", 1)), None),
+)
 
 
 def main(argv=None) -> int:
@@ -40,7 +49,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.abspath(args.src))
-    from mcg.catalog import compose_mc, equal, generator, inverse_mc
+    from mcg.catalog import compose_mc, equal, generator, identity_mc, inverse_mc
     from mcg.surface import build
     from mcg.words import compose, inverse
 
@@ -71,12 +80,20 @@ def main(argv=None) -> int:
         ms, out = best_of(conjugation)
         cases[name] = {"min_ms": ms,
                        "letters": sum(map(len, out.fwd + out.bwd))}
-    name, g, p, twist, image = EQUAL_CASE
-    model = build(g, p)
-    T, E, F = (built(model, n) for n in ("T", twist, image))
-    Ti = inverse_mc(T)
-    ms, verdict = best_of(lambda: equal(compose_mc(T, compose_mc(E, Ti)), F))
-    cases[name] = {"min_ms": ms, "equal": verdict}
+    for name, g, p, factors, image in EQUAL_CASES:
+        model = build(g, p)
+        left = [built(model, n) if e == 1 else inverse_mc(built(model, n))
+                for n, e in factors]
+        right = built(model, image) if image else identity_mc(model)
+
+        def product():  # right-nested, as the relation suite composes
+            out = left[-1]
+            for F in reversed(left[:-1]):
+                out = compose_mc(F, out)
+            return out
+
+        ms, verdict = best_of(lambda: equal(product(), right))
+        cases[name] = {"min_ms": ms, "equal": verdict}
 
     results = {}
     if os.path.exists(OUT):

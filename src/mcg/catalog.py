@@ -13,6 +13,7 @@ with matching permutation and sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from . import _tables as tables
@@ -46,11 +47,17 @@ class MappingClass:
     support: str
 
 
-def _gamma_words(model: SurfaceModel) -> list[Word]:
-    g, p = model.genus, model.punctures
-    out: list[Word] = [(tables.g_letter(g, k),) for k in range(1, p)]
-    out.append(tables.last_puncture_word(g, p))
-    return out
+@lru_cache(maxsize=None)
+def _peripheral_lookup(g: int, p: int) -> tuple[tuple[Word, ...], dict]:
+    """The puncture loops of the surface, and the key of each peripheral
+    class (least rotation of the loop or of its inverse) -> (loop, sign)."""
+    gammas = [(tables.g_letter(g, k),) for k in range(1, p)]
+    gammas.append(tables.last_puncture_word(g, p))
+    lookup: dict[Word, tuple[int, int]] = {}
+    for m, w in enumerate(gammas, start=1):
+        lookup[least_rotation(cyclic_reduce(w)[0])] = (m, 1)
+        lookup[least_rotation(cyclic_reduce(invert(w))[0])] = (m, -1)
+    return tuple(gammas), lookup
 
 
 def _peripheral_action(model: SurfaceModel, aut: AutPair) -> tuple[tuple[int, ...], int]:
@@ -59,11 +66,7 @@ def _peripheral_action(model: SurfaceModel, aut: AutPair) -> tuple[tuple[int, ..
     Raises if some puncture loop maps outside the peripheral structure or
     the orientation sign is not uniform across punctures.
     """
-    gammas = _gamma_words(model)
-    lookup: dict[Word, tuple[int, int]] = {}
-    for m, w in enumerate(gammas, start=1):
-        lookup[least_rotation(cyclic_reduce(w)[0])] = (m, 1)
-        lookup[least_rotation(cyclic_reduce(invert(w))[0])] = (m, -1)
+    gammas, lookup = _peripheral_lookup(model.genus, model.punctures)
     perm: list[int] = []
     signs: set[int] = set()
     for k, w in enumerate(gammas, start=1):

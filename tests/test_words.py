@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mcg.words import (
     AutPair,
+    _Pending,
+    _RUN,
     _substitute,
     abelianized,
     ad_aut,
@@ -295,6 +297,33 @@ def test_apply_partial_cancellation_at_the_junction():
         assert apply_aut(t, w) == oracle_apply(t, w)
 
 
+# images c f(x) c^-1 with c longer than _RUN: consecutive images cancel runs
+# the kernel remembers, and the same letter pair meets different output
+# tails within one call, across its words and inside unreduced ones
+long_conjugators = st.lists(letters, min_size=_RUN + 1, max_size=30).map(
+    reduce_word).filter(lambda c: len(c) > _RUN)
+
+
+@settings(max_examples=200)
+@given(automorphisms, long_conjugators, st.lists(raw_words, min_size=1, max_size=4))
+def test_substitute_matches_oracle_on_long_runs(f, c, words):
+    h = compose(ad_aut(RANK, c), f)
+    assert _substitute(h.fwd, words) == [oracle_apply(h, w) for w in words]
+
+
+def test_substitute_remembered_run_wrong_both_ways():
+    c = (3, 4) * 5
+    f = ad_aut(4, c)
+    # the pair (1, 2) cancels c^-1 c (10 letters) in the first word; in the
+    # second the run goes on through x2^-1 and the whole conjugator (21
+    # letters), so the remembered 10 is not maximal; in the third it is 10
+    # again, so the remembered 21 does not match the output's tail
+    words = [(1, 2), (-2, -1, 1, 2), (3, 1, 2), (1, 2)]
+    assert _RUN < len(c)
+    assert _substitute(f.fwd, words) == [
+        conjugate((1, 2), c), (), conjugate((3, 1, 2), c), conjugate((1, 2), c)]
+
+
 def test_make_aut_rejects_empty_image():
     with pytest.raises(ValueError):
         make_aut([(), (2,)], [(1,), (2,)])
@@ -335,6 +364,19 @@ def test_inner_witness_of_pair_frozen():
     assert inner_witness(t, identity_aut(3)) is None
     with pytest.raises(ValueError):
         inner_witness(t, identity_aut(4))
+
+
+def test_inner_witness_of_identical_tables_reads_no_inverse():
+    t = transvection()
+    f, g = compose(t, t), compose(t, t)
+    assert f.fwd == g.fwd and f is not g
+    assert inner_witness(f, g) == ()
+    assert type(g._bwd) is _Pending and type(f._bwd) is _Pending
+    with pytest.raises(ValueError):
+        inner_witness(identity_aut(1), identity_aut(1))
+    # different tables still take the path through g^-1
+    h = compose(ad_aut(3, (2, -3)), g)
+    assert inner_witness(h, g) == (2, -3) == inner_witness(compose(h, inverse(g)))
 
 
 @settings(max_examples=100)
