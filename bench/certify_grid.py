@@ -2,12 +2,13 @@
 
     python3 bench/certify_grid.py [--side LABEL=SRC ...]
 
-For each surface (1,2)..(1,10), (2,2), (2,3), (3,2)..(8,2), (3,3) and
-(4,4) two times are taken: ``build`` plus ``certify_thm9``, and ``verify``
-of that certificate after a JSON round trip (``to_json``, ``json.loads``,
-``certificate_from_dict``).  Each timing runs in a new Python process, so
-``mcg`` is imported fresh and its table caches are cold; each time is the
-minimum over 5 ``time.perf_counter`` samples.  A surface whose
+For each surface (1,2)..(1,10), (2,2), (2,3), (3,2)..(8,2), (10,2),
+(12,2), (16,2), (3,3), (4,4) and (6,6) two times are taken: ``build``
+plus ``certify_thm9``, and ``verify`` of that certificate after a JSON
+round trip (``to_json``, ``json.loads``, ``certificate_from_dict``).
+Each timing runs in a new Python process, so ``mcg`` is imported fresh
+and its table caches are cold; each time is the minimum over 5
+``time.perf_counter`` samples.  A surface whose
 certificate is not valid or does not verify is recorded as such.  A child
 process that runs longer than 30 s is stopped, and its surface is
 recorded as ``"timed_out": true`` for that side and not sampled again, so
@@ -36,7 +37,8 @@ OUT = os.path.join(ROOT, "BENCH_certify.json")
 REPEAT = 5
 TIMEOUT_S = 30
 SURFACES = [(1, p) for p in range(2, 11)] + [(2, 2), (2, 3)] \
-    + [(g, 2) for g in range(3, 9)] + [(3, 3), (4, 4)]
+    + [(g, 2) for g in (3, 4, 5, 6, 7, 8, 10, 12, 16)] \
+    + [(3, 3), (4, 4), (6, 6)]
 
 
 # each timing runs in its own child process; argv[1] is the src directory

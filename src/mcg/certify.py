@@ -315,7 +315,7 @@ def synthesize(model: SurfaceModel, name: str,
     the target from its name and reads the witness over B, SH1p, T, so pass
     the generators of _thm_generators for a certificate that verifies.
     """
-    word = _derive(model, name, generators, limits or SearchLimits(), {})
+    word = _derive(model, name, generators, limits or SearchLimits(), {}, {})
     if word is None:
         return None
     return word, _membership_certificate(model, name, generator(model, name),
@@ -338,7 +338,8 @@ def _a1_conjugator(g: int) -> WordAST:
 
 def _derive(model: SurfaceModel, name: str,
             generators: dict[str, MappingClass], limits: SearchLimits,
-            memo: dict[str, Optional[WordAST]]) -> Optional[WordAST]:
+            memo: dict[str, Optional[WordAST]],
+            classes: dict) -> Optional[WordAST]:
     """The word for the named generator over generators, adjacent powers
     merged and checked by exact equality; None when the budget runs out.
 
@@ -351,31 +352,32 @@ def _derive(model: SurfaceModel, name: str,
     not proven for every g, so when it fails the exact gate it falls
     through to a search like an unruled target.  A rule whose
     sub-derivation ran out of budget falls through to a search of its own
-    target.  memo maps names to their words for one call: one generator
-    set and one budget.
+    target.  Two memos live for one run (one generator set, one budget):
+    memo maps names to words, and classes is evaluate_ast's memo, terms
+    to classes, so A_i is peeled onto the gated A_{i-1} and E0 reuses A2.
     """
     if name in memo:
         return memo[name]
     target = generator(model, name)
 
     def holds(word: WordAST) -> bool:
-        return equal(evaluate_ast(word, generators, model), target)
+        return equal(evaluate_ast(word, generators, model, classes), target)
 
     word = next(((Term(gen, 1),) for gen in sorted(generators)
                  if equal(generators[gen], target)), None)
     kind, index = name[:1], name[1:]
     if word is None and name == "E0":
-        word = _derive(model, "A2", generators, limits, memo)
+        word = _derive(model, "A2", generators, limits, memo, classes)
     elif word is None:
         if kind == "E" and index.isdigit() and "T" in generators:
-            sub = _derive(model, "E0", generators, limits, memo)
+            sub = _derive(model, "E0", generators, limits, memo, classes)
             if sub is not None:
                 j = int(index)
                 word = (Term("T", j),) + sub + (Term("T", -j),)
         elif kind == "A" and index.isdigit() and int(index) >= 2 \
                 and "SH1p" in generators:
             sub = _derive(model, f"A{int(index) - 1}", generators, limits,
-                          memo)
+                          memo, classes)
             if sub is not None:
                 word = (Term("SH1p", 1),) + sub + (Term("SH1p", -1),)
         elif name == "A1" and model.genus >= 2 \
@@ -479,9 +481,10 @@ def certify_thm9(model: SurfaceModel,
     limits = limits or SearchLimits()
     gens = _thm_generators(model)
     memo: dict[str, Optional[WordAST]] = {}
+    classes: dict = {}
     witnesses = []
     for name in _gervais_set(model.genus, model.punctures):
-        word = _derive(model, name, gens, limits, memo)
+        word = _derive(model, name, gens, limits, memo, classes)
         witnesses.append((name, None if word is None else print_word(word)))
     return _thm9_certificate(model, gens, witnesses)
 
@@ -526,15 +529,16 @@ def _canonical(cert: Certificate) -> str:
     return json.dumps(cert.as_dict(), sort_keys=True)
 
 
-def _witness_holds(model: SurfaceModel, text: str,
-                   gens: dict[str, MappingClass], target: MappingClass,
-                   ) -> bool:
-    """Whether text is a word over gens whose class is target."""
+def _witness_holds(model: SurfaceModel, gens: dict[str, MappingClass],
+                   classes: dict, name: str, text: str) -> bool:
+    """Whether text is a word over gens whose class is the generator name;
+    classes is the evaluate_ast memo of the verify call."""
     try:
         word = parse_word(text, names=gens)
     except WordSyntaxError:
         return False
-    return equal(evaluate_ast(word, gens, model), target)
+    return equal(evaluate_ast(word, gens, model, classes),
+                 generator(model, name))
 
 
 def verify(cert: Certificate) -> bool:
@@ -578,6 +582,7 @@ def verify(cert: Certificate) -> bool:
     else:
         return False
     # a valid match carries a witness text for every target
+    classes: dict = {}
     return (cert.valid and _canonical(cert) == _canonical(expected)
-            and all(_witness_holds(model, text, gens, generator(model, name))
+            and all(_witness_holds(model, gens, classes, name, text)
                     for name, text in witnesses))

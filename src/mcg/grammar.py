@@ -9,9 +9,8 @@ is ``()`` and prints as "1".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .catalog import MappingClass, compose_mc, identity_mc, power_mc
 from .surface import SurfaceModel
@@ -23,8 +22,8 @@ class WordSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
+    # a tuple, so words hash in C as keys of evaluate_ast's memo
     base: Union[str, tuple]
     exp: int
 
@@ -166,16 +165,55 @@ def base_names(ast: WordAST) -> set[str]:
     return out
 
 
+def _mirror(word: WordAST) -> Optional[tuple[str, int, WordAST]]:
+    """(x, a, M) when word is x^a M x^-a, x a generator name and M not
+    empty, each power of x spelled by terms of one sign; else None."""
+    x = word[0].base if len(word) > 2 else None
+    if not isinstance(x, str):
+        return None
+    i, j, up = 0, len(word), word[0].exp > 0
+    while i < j and word[i].base == x and (word[i].exp > 0) == up:
+        i += 1
+    while j > i and word[j - 1].base == x and (word[j - 1].exp > 0) != up:
+        j -= 1
+    if not i < j < len(word):
+        return None
+    a = sum(t.exp for t in word[:i])
+    return (x, a, word[i:j]) if sum(t.exp for t in word[j:]) == -a else None
+
+
 def evaluate_ast(ast: WordAST, gens: dict[str, MappingClass],
-                 model: SurfaceModel) -> MappingClass:
-    """Leftmost factor applied last; the empty word is the identity."""
-    if not ast:
-        return identity_mc(model)
-    factors = []
-    for term in ast:
-        if isinstance(term.base, str):
-            mc = gens[term.base]
-        else:
-            mc = evaluate_ast(term.base, gens, model)
-        factors.append(power_mc(mc, term.exp))
-    return reduce(compose_mc, factors)
+                 model: SurfaceModel,
+                 memo: Optional[dict] = None) -> MappingClass:
+    """Leftmost factor applied last; the empty word is the identity.
+
+    A word x^a M x^-a (see _mirror) is peeled in a loop, inside out, as
+    x^(a-b) (x^b M x^-b) x^(b-a): b is the largest exponent of a's sign,
+    |b| < |a|, whose x^b M x^-b memo holds, else 0 (M is evaluated first);
+    the powers take O(log |a-b|) composes.  Other words fold left.  memo
+    maps each word evaluated with it (groups too) to its class and its
+    outer (x, M) to {a: class}; a caller keeps one memo for one run.  By
+    associativity the tables, perm, sign and provenance are the fold's,
+    so a caller's exact equal decides as it did on the fold.
+    """
+    memo = {} if memo is None else memo
+    layers, out, word = [], memo.get(ast) if memo else None, ast
+    while out is None and (peel := _mirror(word)):
+        x, a, word = peel
+        held = memo.get((x, word), {})
+        b = max((e for e in held if 0 < e * a < a * a), key=abs, default=0)
+        layers.append((x, a, b))
+        out = held[b] if b else memo.get(word)
+    if out is None:
+        out = reduce(compose_mc, [
+            power_mc(gens[t.base] if isinstance(t.base, str)
+                     else evaluate_ast(t.base, gens, model, memo), t.exp)
+            for t in word]) if word else identity_mc(model)
+    for x, a, b in reversed(layers):
+        out = compose_mc(compose_mc(power_mc(gens[x], a - b), out),
+                         power_mc(gens[x], b - a))
+    memo[ast] = out
+    if layers:
+        x, a, inner = _mirror(ast)
+        memo.setdefault((x, inner), {})[a] = out
+    return out
