@@ -2,9 +2,10 @@
 
     python3 bench/words_compose.py [--src DIR] [--label NAME]
 
-Two cases are ``compose(T, compose(E, T^-1))`` on the automorphisms of the
-rotation ``T`` and a twist ``E`` of the catalog: ``T E1 T^-1`` at (10,2)
-and ``T E15 T^-1`` at (1,16).  The product's inverse table is read inside
+Three cases are ``compose(T, compose(E, T^-1))`` on the automorphisms of
+the rotation ``T`` and a twist ``E`` of the catalog: ``T E1 T^-1`` at
+(10,2), ``T E15 T^-1`` at (1,16), and ``T E3 T^-1`` at (1,5), whose tables
+are short.  The product's inverse table is read inside
 the timed region, so a product that builds it on first read pays for the
 same tables as one that builds it at once.  The other cases time
 ``equal`` of a ``compose_mc`` product and a class at (10,2): the relations
@@ -32,7 +33,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_words.json")
 REPEAT = 20
-CASES = (("T E1 T^-1 (10,2)", 10, 2, "E1"), ("T E15 T^-1 (1,16)", 1, 16, "E15"))
+CASES = (("T E1 T^-1 (10,2)", 10, 2, "E1"), ("T E15 T^-1 (1,16)", 1, 16, "E15"),
+         ("T E3 T^-1 (1,5)", 1, 5, "E3"))
 # (name, g, p, left side as (generator, exponent +-1) factors, right side;
 # None for the identity)
 EQUAL_CASES = (

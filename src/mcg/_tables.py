@@ -439,27 +439,18 @@ def curve_rotation(g: int, p: int) -> AutPair:
 
 
 @lru_cache(maxsize=None)
-def rotation_power(g: int, p: int, j: int) -> AutPair:
-    """curve_rotation^j for j >= 1, one compose on top of the cached j-1."""
-    if j < 1:
-        raise ValueError("rotation powers start at 1")
-    rot = curve_rotation(g, p)
-    return rot if j == 1 else compose(rot, rotation_power(g, p, j - 1))
-
-
 def family_twist(g: int, p: int, j: int) -> AutPair:
-    """The twist about e_j: rot^j E0 rot^-j, with E0 the twist through
-    handle 1.  Not cached: the E_j tables are long and read briefly."""
-    e0 = tw_through(g, p, 1)
+    """The twist about e_j = T^j(e0): E0 is the twist through handle 1,
+    and E_j is (T E_{j-1}) T^-1, two composes on the cached E_{j-1}."""
     if j == 0:
-        return e0
-    rot = rotation_power(g, p, j)
-    return compose(rot, compose(e0, inverse(rot)))
+        return tw_through(g, p, 1)
+    rot = curve_rotation(g, p)
+    return compose(compose(rot, family_twist(g, p, j - 1)), inverse(rot))
 
 
+@lru_cache(maxsize=None)
 def reflected_rotation(g: int, p: int) -> AutPair:
-    """The orientation-reversing rotation T', the mirror after rho2; not
-    cached, as family_twist."""
+    """The orientation-reversing rotation T', the mirror after rho2."""
     return compose(mirror(g, p), back_involution(g, p))
 
 

@@ -3,11 +3,11 @@
 A mapping class is carried as an outer automorphism of the surface group
 together with its induced puncture permutation and orientation sign.  The
 catalog builds no table: each generator wraps the table of one ``_tables``
-function (``_makers``), and its permutation and sign are read off the
-automorphism by matching the image of each puncture loop against the
-peripheral classes, so a bad table cannot ship a plausible-looking
-wrapper.  Equality of mapping classes is equality of outer automorphisms
-with matching permutation and sign.
+function (``_makers``), once per surface and process, and its permutation
+and sign are read off the automorphism by matching the image of each
+puncture loop against the peripheral classes, so a bad table cannot ship a
+plausible-looking wrapper.  Equality of mapping classes is equality of
+outer automorphisms with matching permutation and sign.
 """
 
 from __future__ import annotations
@@ -355,14 +355,6 @@ def _makers(model: SurfaceModel) -> dict[str, tuple]:
     return out
 
 
-def _build(model: SurfaceModel, name: str, support: str, table: Callable,
-           *args) -> MappingClass:
-    g, p = model.genus, model.punctures
-    # the provenance is the name, except S keeps the product it stands for
-    prov = "·".join(f"A{i}" for i in range(2 * g, 0, -1)) if name == "S" else name
-    return _mk(model, table(g, p, *args), prov, support)
-
-
 def generator_names(model: SurfaceModel) -> list[str]:
     """The names of the generator vocabulary, in vocabulary order.
 
@@ -374,17 +366,22 @@ def generator_names(model: SurfaceModel) -> list[str]:
     return list(_makers(model))
 
 
+@lru_cache(maxsize=None)
 def generator(model: SurfaceModel, name: str) -> MappingClass:
     """The named generator class alone, without building the others: its
-    table from _tables, wrapped by _mk."""
+    table from _tables, wrapped by _mk.  Built once per surface (the model
+    is its (g, p)) and name; an unknown name raises on every call."""
     try:
-        entry = _makers(model)[name]
+        support, table, *args = _makers(model)[name]
     except KeyError:
         raise ValueError(f"unknown generator {name!r}") from None
-    return _build(model, name, *entry)
+    g, p = model.genus, model.punctures
+    # the provenance is the name, except S keeps the product it stands for
+    prov = "·".join(f"A{i}" for i in range(2 * g, 0, -1)) if name == "S" else name
+    return _mk(model, table(g, p, *args), prov, support)
 
 
 def vocabulary(model: SurfaceModel) -> dict[str, MappingClass]:
-    """The named generator set exposed to the word grammar and searches."""
-    return {name: _build(model, name, *entry)
-            for name, entry in _makers(model).items()}
+    """The named generator set exposed to the word grammar and searches,
+    each class the one generator(model, name) holds."""
+    return {name: generator(model, name) for name in _makers(model)}

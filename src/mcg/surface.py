@@ -136,10 +136,9 @@ def _chain_word(idx: int) -> Word:
 
 
 def _family_word(g: int, p: int, j: int) -> Word:
-    seed: Word = (-tables.b_letter(1),)
     if j == 0:
-        return seed
-    return apply_aut(tables.rotation_power(g, p, j), seed)
+        return (-tables.b_letter(1),)
+    return apply_aut(tables.curve_rotation(g, p), _family_word(g, p, j - 1))
 
 
 def _two_puncture_word(g: int, p: int, j: int) -> Word:

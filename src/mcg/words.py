@@ -13,8 +13,9 @@ search.  ``compose``/``inverse`` preserve the mutual-inverse invariant by
 construction; use :func:`make_aut` when building a pair from raw tables.
 ``compose`` builds the forward table at once and the inverse table on its
 first read, since most products only have their forward table read.
-Substitution remembers long cancelling runs within a call, and equality
-of matching forward tables reads no inverse table.
+Substitution remembers, per pair of consecutive letters, the cuts that
+the pair alone decides, and equality of matching forward tables reads no
+inverse table.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from operator import neg
 from typing import Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
-
-# cancelling runs this long are looked up before they are scanned (see
-# _substitute); 4, 8 and 16 time alike on the perfbench workloads
-_RUN = 8
 
 
 def reduce_word(letters: Iterable[int]) -> Word:
@@ -104,42 +101,36 @@ def _substitute(table: Sequence[Word],
     reduced.  The image of a negative letter is inverted the first time it
     is used and shared by every word of the call.
 
-    A pair of consecutive letters tends to cancel the same long run again,
-    so once a scan reaches _RUN letters the call looks up what that pair
-    cancelled last time.  If those letters end the output and the letter
-    before them does not cancel (or nothing is left), that is the run, with
-    no scan; otherwise the run is scanned to its end and remembered.
+    ``left`` counts the letters of the previous image still at the end of
+    the output.  A scan that stops inside them compared letters of that
+    image with letters of the next one only, so its cut k is decided by the
+    pair of letters alone: the call records it and takes it with no scan
+    wherever the same pair meets more than k surviving letters.
     """
     images = dict(enumerate(table, start=1))
-    runs: dict[tuple[int, int], list[int]] = {}
+    cuts: dict[tuple[int, int], int] = {}
     result: list[Word] = []
     for w in words:
         out: list[int] = []
-        prev = 0
+        prev = left = 0
         for x in w:
             img = images.get(x)
             if img is None:
                 img = images[x] = invert(table[-x - 1])
-            m = len(out)
-            k, stop = 0, min(m, len(img))
-            lim = stop if stop < _RUN else _RUN
-            while k < lim and out[m - 1 - k] == -img[k]:
-                k += 1
-            if k == _RUN < stop:
-                run = runs.get((prev, x), [])
-                r = len(run)
-                if (_RUN < r <= stop and (r == stop or out[m - 1 - r] != -img[r])
-                        and out[m - r:] == run):
-                    k = r
-                else:
-                    while k < stop and out[m - 1 - k] == -img[k]:
-                        k += 1
-                    runs[prev, x] = out[m - k:]
+            k = cuts.get((prev, x), left)
+            if k >= left:
+                m = len(out)
+                k, stop = 0, min(m, len(img))
+                while k < stop and out[m - 1 - k] == -img[k]:
+                    k += 1
+                if k < left:
+                    cuts[prev, x] = k
             if k:
-                del out[m - k:]
+                del out[len(out) - k:]
                 out.extend(img[k:])
             else:
                 out.extend(img)
+            left = len(img) - k
             prev = x
         result.append(tuple(out))
     return result

@@ -279,14 +279,32 @@ def test_compose_rejects_mixed_surfaces():
         equal(twist(build(1, 2), "a1"), twist(build(2, 2), "a1"))
 
 
-@pytest.mark.parametrize("gp", [(1, 2), (1, 5), (2, 2)])
-def test_rotation_power_matches_power_aut(gp):
+FAMILY_GRID = [(1, 2), (1, 5), (2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("gp", FAMILY_GRID)
+def test_family_twist_matches_power_aut(gp):
+    # E_j is built on E_{j-1}; the power of T gives it in one conjugation
     g, p = gp
-    rot = tables.curve_rotation(g, p)
-    for j in range(1, p + 1):
-        assert tables.rotation_power(g, p, j) == tables.power_aut(rot, j), j
-    with pytest.raises(ValueError):
-        tables.rotation_power(g, p, 0)
+    rot, e0 = tables.curve_rotation(g, p), tables.family_twist(g, p, 0)
+    assert e0 == tables.tw_through(g, p, 1)
+    for j in range(1, p):
+        want = tables.fold([tables.power_aut(rot, j), e0,
+                            tables.power_aut(rot, -j)])
+        got = tables.family_twist(g, p, j)
+        assert got.fwd == want.fwd and got.bwd == want.bwd, j
+
+
+@pytest.mark.parametrize("gp", FAMILY_GRID)
+def test_family_curve_matches_power_aut(gp):
+    # e_j is T applied to e_{j-1}; the power of T gives it from the seed b_1
+    m = build(*gp)
+    rot = tables.curve_rotation(*gp)
+    seed = (-tables.b_letter(1),)
+    assert curve(m, "e0") == canonicalize(seed)
+    for j in range(1, gp[1]):
+        assert curve(m, f"e{j}") == canonicalize(
+            apply_aut(tables.power_aut(rot, j), seed)), j
 
 
 def test_twist_rejects_unknown_names_like_curve(model):
@@ -320,6 +338,19 @@ def test_generator_rejects_unknown_names():
     for nm in ("A0", "H13", "A3", "E3", "N0", "H1", "zz", "a1"):
         with pytest.raises(ValueError):
             generator(m, nm)
+
+
+def test_generator_built_once_per_surface():
+    m = build(1, 3)
+    for nm in generator_names(m):
+        assert generator(build(1, 3), nm) is generator(m, nm), nm
+    vocab = vocabulary(m)
+    assert all(vocab[nm] is generator(m, nm) for nm in vocab)
+    # nothing caches an exception: an unknown name raises on every call
+    for _ in range(2):
+        for nm in ("A0", "H13"):
+            with pytest.raises(ValueError):
+                generator(m, nm)
 
 
 @pytest.mark.parametrize("gp", [(1, 2), (2, 2)])

@@ -376,6 +376,24 @@ def test_verify_skips_the_vocabulary(monkeypatch, real_certificates):
         assert certify.verify(cert), cert.kind
 
 
+def test_verify_rejects_forgery_after_shared_generators():
+    # certify_thm9 and verify leave the (2,2) generator classes built; a
+    # later verify still recomputes every witness instead of replaying them
+    m = build(2, 2)
+    text = certify.certify_thm9(m).to_json()
+    assert certify.verify(certify.certificate_from_dict(json.loads(text)))
+    assert catalog.generator(build(2, 2), "B") is catalog.generator(m, "B")
+    wrong = _set_witness(json.loads(text), "A1", "B")
+    assert certify.verify(wrong) is False
+    swapped = json.loads(text)
+    for item in swapped["transcript"]:
+        inputs = item["inputs"]
+        if isinstance(inputs, dict) and "witness" in inputs:
+            inputs["witness"] = inputs["witness"].replace("SH1p", "B")
+    assert swapped != json.loads(text)
+    assert certify.verify(certify.certificate_from_dict(swapped)) is False
+
+
 def test_certify_thm9_genus_two_witnesses():
     cert = certify.certify_thm9(build(2, 2))
     got = {item["inputs"]["target"]: item["inputs"]["witness"]

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mcg.words import (
     AutPair,
     _Pending,
-    _RUN,
     _substitute,
     abelianized,
     ad_aut,
@@ -297,11 +296,11 @@ def test_apply_partial_cancellation_at_the_junction():
         assert apply_aut(t, w) == oracle_apply(t, w)
 
 
-# images c f(x) c^-1 with c longer than _RUN: consecutive images cancel runs
-# the kernel remembers, and the same letter pair meets different output
-# tails within one call, across its words and inside unreduced ones
-long_conjugators = st.lists(letters, min_size=_RUN + 1, max_size=30).map(
-    reduce_word).filter(lambda c: len(c) > _RUN)
+# images c f(x) c^-1 with c longer than 8 letters: consecutive images cancel
+# long runs, and the same letter pair meets different output tails within
+# one call, across its words and inside unreduced ones
+long_conjugators = st.lists(letters, min_size=8 + 1, max_size=30).map(
+    reduce_word).filter(lambda c: len(c) > 8)
 
 
 @settings(max_examples=200)
@@ -319,9 +318,41 @@ def test_substitute_remembered_run_wrong_both_ways():
     # letters), so the remembered 10 is not maximal; in the third it is 10
     # again, so the remembered 21 does not match the output's tail
     words = [(1, 2), (-2, -1, 1, 2), (3, 1, 2), (1, 2)]
-    assert _RUN < len(c)
+    assert 8 < len(c)
     assert _substitute(f.fwd, words) == [
         conjugate((1, 2), c), (), conjugate((3, 1, 2), c), conjugate((1, 2), c)]
+
+
+def table_image(table, x):
+    return table[x - 1] if x > 0 else invert(table[-x - 1])
+
+
+# short images over three letters: within one call a pair of letters meets
+# more, as many and fewer surviving letters of its first image than it
+# cancels, so cuts are recorded, reused and refused alike
+short_tables = st.lists(st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)),
+                                 max_size=6).map(reduce_word),
+                        min_size=3, max_size=3)
+small_words = st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)), max_size=30)
+
+
+@settings(max_examples=300)
+@given(short_tables, st.lists(small_words, min_size=1, max_size=4))
+def test_substitute_cut_reuse_matches_oracle(table, words):
+    assert _substitute(table, words) == [
+        concat(*(table_image(table, x) for x in w)) for w in words]
+
+
+def test_substitute_cut_reuse_boundary():
+    table = [(4, 6, 3), (-3, 5), (-5, -6, -4), (4,), (5,), (6,)]
+    # (1, 2) cuts 1 letter with all 3 of x1's image left: the cut is recorded
+    # and reused in the third word.  In the second, x3 leaves 1 letter of
+    # x1's image, as many as the cut, so (1, 2) scans and cancels 2, past
+    # x1's image into x3's; that cut is not the pair's, and is not recorded
+    words = [(1, 2), (3, 1, 2), (1, 2)]
+    want = [(4, 6, 5), (), (4, 6, 5)]
+    assert [concat(*(table_image(table, x) for x in w)) for w in words] == want
+    assert _substitute(table, words) == want
 
 
 def test_make_aut_rejects_empty_image():
