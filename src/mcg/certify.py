@@ -1,9 +1,9 @@
 """Generation certificates and membership-witness synthesis.
 
 Three layers: symmetric-group closure checks on puncture permutations,
-witness words for kernel generators (structured derivations first, then
-meet-in-the-middle search), and replayable certificates tying both into
-the exact-sequence closure argument.
+witness words for kernel generators (derived by rule; only synthesize
+falls back to a meet-in-the-middle search), and replayable certificates
+tying both into the exact-sequence closure argument.
 """
 
 from __future__ import annotations
@@ -305,21 +305,29 @@ def _membership_certificate(model: SurfaceModel, name: str,
 
 def synthesize(model: SurfaceModel, name: str,
                generators: dict[str, MappingClass],
-               limits: Optional[SearchLimits] = None,
+               limits: SearchLimits = SearchLimits(),
                ) -> Optional[tuple[WordAST, Certificate]]:
     """Witness word for the generator name over the named generators, or
-    None when the budget runs out.  Absence is never claimed.
+    None when no rule gives one and the search runs out of budget; absence
+    is never claimed.
 
-    The word comes from _derive and passed the exact equality gate.  The
-    membership certificate holds one kernel-witness step.  verify builds
-    the target from its name and reads the witness over B, SH1p, T, so pass
-    the generators of _thm_generators for a certificate that verifies.
+    _mim_search runs only when _derive gives None, and its word passes the
+    same exact gate.  The membership certificate holds one kernel-witness
+    step.  verify builds the target from its name and reads the witness
+    over B, SH1p, T, so pass the generators of _thm_generators for a
+    certificate that verifies.
     """
-    word = _derive(model, name, generators, limits or SearchLimits(), {}, {})
+    classes: dict = {}
+    word = _derive(model, name, generators, {}, classes)
+    target = generator(model, name)
+    if word is None:
+        found = _mim_search(model, target, generators, limits)
+        if found is not None:
+            word = _gate(model, found, generators, classes, target)
     if word is None:
         return None
-    return word, _membership_certificate(model, name, generator(model, name),
-                                         generators, print_word(word))
+    return word, _membership_certificate(model, name, target, generators,
+                                         print_word(word))
 
 
 def _a1_conjugator(g: int) -> WordAST:
@@ -336,65 +344,61 @@ def _a1_conjugator(g: int) -> WordAST:
     return parse_word(head) + parse_word(loop) * k
 
 
+def _gate(model: SurfaceModel, word: WordAST,
+          generators: dict[str, MappingClass], classes: dict,
+          target: MappingClass) -> Optional[WordAST]:
+    """word with adjacent powers merged if its class is target, else None;
+    classes is the evaluate_ast memo of the run."""
+    word = merge_terms(word)
+    got = evaluate_ast(word, generators, model, classes)
+    return word if equal(got, target) else None
+
+
 def _derive(model: SurfaceModel, name: str,
-            generators: dict[str, MappingClass], limits: SearchLimits,
+            generators: dict[str, MappingClass],
             memo: dict[str, Optional[WordAST]],
             classes: dict) -> Optional[WordAST]:
-    """The word for the named generator over generators, adjacent powers
-    merged and checked by exact equality; None when the budget runs out.
+    """The word for the named generator over generators by rule alone,
+    adjacent powers merged and checked by exact equality; None when no
+    rule gives a word that passes.
 
-    Rules by name come before the raw search.  A target equal to a
-    generator is that generator; E0 is A2 (both are the twist
-    tw_through(g, p, 1)); E_j is T^j E0 T^-j and A_i is SH1p A_{i-1}
-    SH1p^-1, since f T_c f^-1 = T_f(c) and T moves e0 to e_j while SH1p
-    moves a_{i-1} to a_i.  For g >= 2, A1 is f B f^-1 with f of
-    _a1_conjugator, by the same lemma with f(b) = a1; that closed form is
-    not proven for every g, so when it fails the exact gate it falls
-    through to a search like an unruled target.  A rule whose
-    sub-derivation ran out of budget falls through to a search of its own
-    target.  Two memos live for one run (one generator set, one budget):
-    memo maps names to words, and classes is evaluate_ast's memo, terms
-    to classes, so A_i is peeled onto the gated A_{i-1} and E0 reuses A2.
+    Each rule is a conjugate c w c^-1.  A target equal to a generator is
+    that generator; E0 is A2 (both are the twist tw_through(g, p, 1));
+    E_j is T^j E0 T^-j and A_i is SH1p A_{i-1} SH1p^-1, since
+    f T_c f^-1 = T_f(c) and T moves e0 to e_j while SH1p moves a_{i-1} to
+    a_i.  For g >= 2, A1 is f B f^-1 with f of _a1_conjugator, by the same
+    lemma with f(b) = a1.  Every rule word goes through one exact gate
+    (_gate); a word that fails it, a rule whose sub-derivation gave None,
+    and a name no rule covers are memoised as None.  Two memos live for
+    one run (one generator set): memo maps names to words, and classes is
+    evaluate_ast's memo, terms to classes, so A_i is peeled onto the gated
+    A_{i-1} and E0 reuses A2.
     """
     if name in memo:
         return memo[name]
     target = generator(model, name)
-
-    def holds(word: WordAST) -> bool:
-        return equal(evaluate_ast(word, generators, model, classes), target)
-
-    word = next(((Term(gen, 1),) for gen in sorted(generators)
+    same = next((gen for gen in sorted(generators)
                  if equal(generators[gen], target)), None)
     kind, index = name[:1], name[1:]
-    if word is None and name == "E0":
-        word = _derive(model, "A2", generators, limits, memo, classes)
-    elif word is None:
-        if kind == "E" and index.isdigit() and "T" in generators:
-            sub = _derive(model, "E0", generators, limits, memo, classes)
-            if sub is not None:
-                j = int(index)
-                word = (Term("T", j),) + sub + (Term("T", -j),)
-        elif kind == "A" and index.isdigit() and int(index) >= 2 \
-                and "SH1p" in generators:
-            sub = _derive(model, f"A{int(index) - 1}", generators, limits,
-                          memo, classes)
-            if sub is not None:
-                word = (Term("SH1p", 1),) + sub + (Term("SH1p", -1),)
-        elif name == "A1" and model.genus >= 2 \
-                and {"B", "SH1p"} <= generators.keys():
-            f = _a1_conjugator(model.genus)
-            word = merge_terms(f + (Term("B", 1),) + tuple(
-                Term(t.base, -t.exp) for t in reversed(f)))
-            if holds(word):
-                memo[name] = word
-                return word
-            word = None
-        if word is None:
-            word = _mim_search(model, target, generators, limits)
-    if word is not None:
-        word = merge_terms(word)
-        if not holds(word):
-            raise AssertionError("derivation produced an unverified witness")
+    conj, sub = (), None
+    if same is not None:
+        sub = (Term(same, 1),)
+    elif name == "E0":
+        sub = _derive(model, "A2", generators, memo, classes)
+    elif kind == "E" and index.isdigit() and "T" in generators:
+        conj = (Term("T", int(index)),)
+        sub = _derive(model, "E0", generators, memo, classes)
+    elif kind == "A" and index.isdigit() and int(index) >= 2 \
+            and "SH1p" in generators:
+        conj = (Term("SH1p", 1),)
+        sub = _derive(model, f"A{int(index) - 1}", generators, memo,
+                      classes)
+    elif name == "A1" and model.genus >= 2 \
+            and {"B", "SH1p"} <= generators.keys():
+        conj, sub = _a1_conjugator(model.genus), (Term("B", 1),)
+    inv = tuple(Term(t.base, -t.exp) for t in reversed(conj))
+    word = None if sub is None else _gate(model, conj + sub + inv,
+                                          generators, classes, target)
     memo[name] = word
     return word
 
@@ -417,8 +421,8 @@ def closure_certificate(
     """The theorem-9 closure argument on (g, p) as a proof object.
 
     kernel_memberships pairs kernel targets with witness words; a target
-    paired with None is recorded as budget exhausted, and a target of the
-    Gervais set left out as missing.  The transcript holds one
+    paired with None or left out is recorded as a missing witness.  The
+    transcript holds one
     kernel-witness step per Gervais target, then one sym_gen_check step.
     Valid iff every target carries a witness word and the quotient images
     generate the full symmetric group.  The words are recorded as given:
@@ -435,8 +439,7 @@ def closure_certificate(
                 "op": "kernel-witness",
                 "inputs": {"target": name},
                 "verdict": False,
-                "error": "budget exhausted" if name in witness_map
-                else "missing witness",
+                "error": "missing witness",
             })
     generates, order = sym_gen_check(quotient_images, p)
     transcript.append({
@@ -475,16 +478,15 @@ def _thm9_certificate(model: SurfaceModel, gens: dict[str, MappingClass],
                                model.genus, gens)
 
 
-def certify_thm9(model: SurfaceModel,
-                 limits: Optional[SearchLimits] = None) -> Certificate:
-    """Generation of the full mapping class group by B, SH1p, T."""
-    limits = limits or SearchLimits()
+def certify_thm9(model: SurfaceModel) -> Certificate:
+    """Generation of the full mapping class group by B, SH1p, T, with every
+    witness derived by rule (_derive); no search runs."""
     gens = _thm_generators(model)
     memo: dict[str, Optional[WordAST]] = {}
     classes: dict = {}
     witnesses = []
     for name in _gervais_set(model.genus, model.punctures):
-        word = _derive(model, name, gens, limits, memo, classes)
+        word = _derive(model, name, gens, memo, classes)
         witnesses.append((name, None if word is None else print_word(word)))
     return _thm9_certificate(model, gens, witnesses)
 

@@ -30,6 +30,10 @@ class Term(NamedTuple):
 
 WordAST = tuple[Term, ...]
 
+# groups nest at most this deep, so parsing and evaluating a word never
+# recurse near Python's limit; the program's own witnesses nest 0 levels
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     # tokens: (kind, value, byte offset)
@@ -70,26 +74,30 @@ def _tokenize(text: str):
 
 
 def parse_word(text: str, names: Optional[Sequence[str]] = None) -> WordAST:
-    """Parse a generator word; names outside the supplied vocabulary are
-    rejected with a byte offset."""
+    """Parse a generator word; names outside the supplied vocabulary, and
+    a group nested deeper than MAX_NESTING, are rejected with a byte
+    offset."""
     tokens = _tokenize(text)
     if not tokens:
         raise WordSyntaxError("empty word", 0)
     pos = 0
 
-    def parse_terms(closing: bool) -> tuple:
+    def parse_terms(depth: int) -> tuple:
         nonlocal pos
         terms = []
         while pos < len(tokens):
             kind, value, off = tokens[pos]
             if kind == ")":
-                if not closing:
+                if not depth:
                     raise WordSyntaxError("unbalanced parentheses", off)
                 break
             if kind == "(":
+                if depth == MAX_NESTING:
+                    raise WordSyntaxError(
+                        f"groups nested deeper than {MAX_NESTING}", off)
                 pos += 1
                 start = pos
-                inner = parse_terms(True)
+                inner = parse_terms(depth + 1)
                 if pos >= len(tokens) or tokens[pos][0] != ")":
                     raise WordSyntaxError("unbalanced parentheses", off)
                 if pos == start:
@@ -125,7 +133,7 @@ def parse_word(text: str, names: Optional[Sequence[str]] = None) -> WordAST:
             raise WordSyntaxError("zero exponent", tokens[pos - 1][2])
         return exp
 
-    ast = parse_terms(False)
+    ast = parse_terms(0)
     if pos < len(tokens):
         raise WordSyntaxError("unbalanced parentheses", tokens[pos][2])
     return ast

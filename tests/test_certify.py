@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mcg import catalog, certify
 from mcg.catalog import compose_mc, equal, inverse_mc, vocabulary
-from mcg.grammar import Term, evaluate_ast, merge_terms, parse_word, print_word
+from mcg.grammar import (MAX_NESTING, Term, evaluate_ast, merge_terms,
+                         parse_word, print_word)
 from mcg.surface import build
 
 
@@ -165,30 +166,35 @@ def test_synthesize_memo_hit_replays_steps():
     assert first[1].transcript[0]["inputs"]["witness"] == print_word(first[0])
 
 
-@pytest.mark.parametrize("g, p, searches", [(2, 2, 5), (2, 3, 6)],
-                         ids=["g2p2", "g2p3"])
-def test_certify_thm9_search_count_on_budget(monkeypatch, g, p, searches):
+@pytest.mark.parametrize("g, p", [(2, 2), (2, 3)], ids=["g2p2", "g2p3"])
+def test_certify_thm9_never_searches(monkeypatch, g, p):
     calls = []
     search = certify._mim_search
     monkeypatch.setattr(certify, "_mim_search",
                         lambda *a: calls.append(1) or search(*a))
     m = build(g, p)
-    # every target follows from B by rules: no search, whatever the budget
-    cert = certify.certify_thm9(m, certify.SearchLimits(depth=1))
+    cert = certify.certify_thm9(m)
     assert cert.valid and certify.verify(cert)
-    assert calls == []
-    # an A1 closed form that fails the gate falls through to the search
-    # (the empty conjugator gives B, not A1); depth 1 then reaches no A_i
-    # and no E_j: A1..A2g and E1..E{p-1} each search once, B is a
-    # generator and E0 reuses the A2 derivation
+    # an A1 closed form that fails the gate (the empty conjugator gives B,
+    # not A1) leaves A1 and every target derived from it without a
+    # witness, and still nothing searches
     monkeypatch.setattr(certify, "_a1_conjugator", lambda g: ())
-    cert = certify.certify_thm9(m, certify.SearchLimits(depth=1))
-    assert not cert.valid
-    assert len(calls) == searches
+    cert = certify.certify_thm9(m)
+    assert calls == []
+    kernel = {s["inputs"]["target"]: s for s in cert.transcript
+              if s["op"] == "kernel-witness"}
+    assert kernel.pop("B")["inputs"]["witness"] == "B"
+    assert len(kernel) == 2 * g + p
+    for name, step in kernel.items():
+        assert step == {"op": "kernel-witness", "inputs": {"target": name},
+                        "verdict": False, "error": "missing witness"}, name
+    assert not cert.valid and not certify.verify(cert)
 
 
-@pytest.mark.parametrize("g, p", [(g, 2) for g in range(2, 8)]
-                         + [(3, 3), (4, 4)])
+# (g,2) for g = 2..10, (7,3) and (8,4) are the surfaces the _a1_conjugator
+# docstring names; (12,2) and (16,2) are verified by bench/certify_grid.py
+@pytest.mark.parametrize("g, p", [(g, 2) for g in range(2, 11)]
+                         + [(3, 3), (4, 4), (7, 3), (8, 4), (12, 2), (16, 2)])
 def test_a1_closed_form_is_a1(g, p):
     m = build(g, p)
     f = print_word(certify._a1_conjugator(g))
@@ -211,6 +217,20 @@ def test_synthesize_honest_on_budget_exhaustion(torus, torus_gens):
     gens = {"T": torus_gens["T"]}
     got = certify.synthesize(torus, "DELTA", gens, limits=tiny)
     assert got is None
+
+
+def test_synthesize_searches_when_no_rule_holds(monkeypatch):
+    # with a failing closed form A1 has no rule word, so synthesize
+    # searches its own target; the word it finds verifies
+    m = build(2, 2)
+    monkeypatch.setattr(certify, "_a1_conjugator", lambda g: ())
+    gens = certify._thm_generators(m)
+    assert certify._derive(m, "A1", gens, {}, {}) is None
+    word, cert = certify.synthesize(m, "A1", gens)
+    assert equal(evaluate_ast(word, gens, m), catalog.generator(m, "A1"))
+    assert cert.witness == print_word(word)
+    assert certify.verify(certify.certificate_from_dict(
+        json.loads(cert.to_json())))
 
 
 def test_mim_search_finds_short_products(torus, torus_gens):
@@ -253,22 +273,13 @@ def test_closure_certificate_valid_path():
 
 
 def test_closure_certificate_flags_missing_witness():
-    cert = certify.closure_certificate(
-        [("B", "B")], [[2, 1]], 2, 1, ["B", "SH1p", "T"])
-    assert not cert.valid
-    missing = [item for item in cert.transcript
-               if item["op"] == "kernel-witness" and not item["verdict"]]
-    assert missing and all(item["error"] == "missing witness"
-                           for item in missing)
-
-
-def test_closure_certificate_flags_budget_exhausted():
+    # a target paired with None and a target left out are both missing
     cert = certify.closure_certificate(
         [("B", "B"), ("A1", None)], [[2, 1]], 2, 1, ["B", "SH1p", "T"])
     assert not cert.valid
     errors = {item["inputs"]["target"]: item.get("error")
               for item in cert.transcript if item["op"] == "kernel-witness"}
-    assert errors == {"B": None, "A1": "budget exhausted",
+    assert errors == {"B": None, "A1": "missing witness",
                       "A2": "missing witness", "E0": "missing witness",
                       "E1": "missing witness"}
 
@@ -452,9 +463,10 @@ def _set_witness(data, target, text):
 
 def test_verify_false_on_malformed_witness(torus):
     text = certify.certify_thm9(torus).to_json()
-    for word in ("B^", "B^x"):
+    deep = "(" * 3000 + "B" + ")" * 3000
+    for word in ("B^", "B^x", deep):
         forged = _set_witness(json.loads(text), "A1", word)
-        assert certify.verify(forged) is False, word
+        assert certify.verify(forged) is False, word[:20]
 
 
 def test_verify_false_on_malformed_equal_label(torus):
@@ -468,6 +480,10 @@ def test_verify_grouped_witness_and_allowlist(torus):
     text = certify.certify_thm9(torus).to_json()
     grouped = _set_witness(json.loads(text), "A2", "(SH1p B SH1p^-1)")
     assert certify.verify(grouped)
+    n = MAX_NESTING
+    nested = _set_witness(json.loads(text), "A2",
+                          "(" * n + "SH1p B SH1p^-1" + ")" * n)
+    assert certify.verify(nested)
     # A1 is a class of the surface but not one of cert.generators
     outside = _set_witness(json.loads(text), "A2", "(SH1p A1 SH1p^-1)")
     assert certify.verify(outside) is False

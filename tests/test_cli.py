@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mcg import catalog, certify, cli
+from mcg import catalog, certify, cli, grammar
 from mcg.cli import main
 from mcg.grammar import (Term, WordSyntaxError, evaluate_ast, parse_word,
                          print_word)
@@ -170,6 +170,19 @@ def test_cmd_eq_long_product(capsys):
     assert code == 0 and "equal: true" in out
 
 
+def test_cmd_eval_nesting(capsys):
+    n = grammar.MAX_NESTING
+    code, out, err = run(capsys, "eval", "--g", "1", "--p", "2",
+                         "(" * 3000 + "B" + ")" * 3000)
+    assert (code, out) == (1, "")
+    assert err == f"parse error: groups nested deeper than {n} at byte {n}\n"
+    code, out, _ = run(capsys, "eval", "--g", "1", "--p", "2", "--json",
+                       "(" * n + "B T" + ")" * n)
+    assert code == 0
+    flat = run(capsys, "eval", "--g", "1", "--p", "2", "--json", "B T")[1]
+    assert json.loads(out)["fingerprint"] == json.loads(flat)["fingerprint"]
+
+
 def test_cmd_eq_parse_error(capsys):
     code, _, err = run(capsys, "eq", "--g", "1", "--p", "2", "A0", "A1")
     assert code == 1
@@ -325,19 +338,17 @@ def test_cmd_verify_malformed_fields(capsys, tmp_path, edit):
 
 
 def test_cmd_certify_thm9_budget(capsys, monkeypatch):
-    # A1 comes by rule and the rest from it, so the budget binds nothing
-    code, out, _ = run(capsys, "certify-thm9", "--g", "2", "--p", "2",
-                       "--max-depth", "1", "--json")
-    assert code == 0
-    _, default, _ = run(capsys, "certify-thm9", "--g", "2", "--p", "2",
-                        "--json")
-    assert json.loads(out)["certificate"] == \
-        json.loads(default)["certificate"]
-    # with a closed form that fails the gate, A1 goes to the search
+    # certify-thm9 runs no search, so it takes no budget options
+    for flag in ("--max-depth", "--max-states"):
+        code, out, err = run(capsys, "certify-thm9", "--g", "2", "--p", "2",
+                             flag, "1")
+        assert (code, out) == (1, "")
+        assert err == f"usage error: unrecognized arguments: {flag} 1\n"
+    # a closed form that fails the gate is a missing witness: exit 2, not 3
     monkeypatch.setattr(certify, "_a1_conjugator", lambda g: ())
     code, out, _ = run(capsys, "certify-thm9", "--g", "2", "--p", "2",
-                       "--max-depth", "1", "--json")
-    assert code == 3
+                       "--json")
+    assert code == 2
     steps = json.loads(out)["certificate"]["transcript"]
     kernel = {s["inputs"]["target"]: s for s in steps
               if s["op"] == "kernel-witness"}
@@ -345,7 +356,7 @@ def test_cmd_certify_thm9_budget(capsys, monkeypatch):
     assert kernel.pop("B")["inputs"]["witness"] == "B"
     for name, step in kernel.items():
         assert step["verdict"] is False, name
-        assert step["error"] == "budget exhausted", name
+        assert step["error"] == "missing witness", name
         assert "witness" not in step["inputs"], name
 
 
@@ -369,12 +380,29 @@ def test_usage_errors(capsys):
 def test_determinism_byte_identical(capsys):
     first = run(capsys, "suite", "--g", "1", "--p", "3", "--json")
     second = run(capsys, "suite", "--g", "1", "--p", "3", "--json")
-    assert first == second
-    a = run(capsys, "certify-thm9", "--g", "1", "--p", "2", "--json",
-            "--seed", "7")
-    b = run(capsys, "certify-thm9", "--g", "1", "--p", "2", "--json",
-            "--seed", "7")
-    assert a == b
+    assert first == second and first[0] == 0
+    a = run(capsys, "certify-thm9", "--g", "1", "--p", "2", "--json")
+    b = run(capsys, "certify-thm9", "--g", "1", "--p", "2", "--json")
+    assert a == b and a[0] == 0
+    cert = certify.certificate_from_dict(json.loads(a[1])["certificate"])
+    assert cert.valid and certify.verify(cert)
+
+
+def test_seed_is_a_usage_error(capsys):
+    # nothing in mcg is random, so no command takes a seed
+    for argv in (["gens", "--g", "1", "--p", "2"],
+                 ["eval", "--g", "1", "--p", "2", "T"],
+                 ["eq", "--g", "1", "--p", "2", "T", "T"],
+                 ["act", "--g", "1", "--p", "2", "T", "e0"],
+                 ["suite", "--g", "1", "--p", "2"],
+                 ["sym", "--p", "2"],
+                 ["synth", "--g", "1", "--p", "2", "A2"],
+                 ["certify-thm9", "--g", "1", "--p", "2"],
+                 ["certify-thm10", "--g", "1", "--p", "2"],
+                 ["verify", "cert.json"]):
+        code, out, err = run(capsys, *argv, "--seed", "7")
+        assert (code, out) == (1, ""), argv
+        assert err == "usage error: unrecognized arguments: --seed 7\n", argv
 
 
 def test_word_commands_build_only_named_generators(capsys, monkeypatch):
