@@ -273,7 +273,18 @@ def test_closure_certificate_valid_path():
 
 
 def test_closure_certificate_flags_missing_witness():
-    # a target paired with None and a target left out are both missing
+    cert = certify.closure_certificate(
+        [("B", "B")], [[2, 1]], 2, 1, ["B", "SH1p", "T"])
+    assert not cert.valid
+    missing = [item for item in cert.transcript
+               if item["op"] == "kernel-witness" and not item["verdict"]]
+    assert missing and all(item["error"] == "missing witness"
+                           for item in missing)
+
+
+def test_closure_certificate_flags_budget_exhausted():
+    # a target paired with None, as a search out of budget once returned,
+    # is recorded like a target left out: as a missing witness
     cert = certify.closure_certificate(
         [("B", "B"), ("A1", None)], [[2, 1]], 2, 1, ["B", "SH1p", "T"])
     assert not cert.valid
