@@ -17,8 +17,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import _tables as tables
-from .surface import (CurveClass, SurfaceModel, canonicalize, check_curve_name,
-                      curve)
+from .surface import CurveClass, SurfaceModel, canonicalize, curve
 from .words import (
     AutPair,
     Word,
@@ -104,13 +103,6 @@ def _mk(model: SurfaceModel, aut: AutPair, provenance: str, support: str) -> Map
 
 def identity_mc(model: SurfaceModel) -> MappingClass:
     return _mk(model, identity_aut(model.rank), "1", SIGMA_ONLY)
-
-
-def twist(model: SurfaceModel, name: str) -> MappingClass:
-    """Right-handed Dehn twist about a named catalog curve: the generator
-    named by the upper-cased curve name (a1 -> A1, delta -> DELTA)."""
-    check_curve_name(model, name)
-    return generator(model, name.upper())
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,8 @@ def _emit(report: dict, args, human: str) -> None:
         else human
     out_path = getattr(args, "out", None)
     if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -162,6 +158,8 @@ def cmd_sym(args) -> int:
     if args.p is None:
         raise UsageError("sym needs --p")
     p = args.p
+    if not 1 <= p <= 10:   # before the perms below are sized by p
+        raise ValueError("closure bound: 1 <= p <= 10")
     if p == 1:
         perms = [[1]]
     else:
@@ -225,9 +223,6 @@ def cmd_verify(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except json.JSONDecodeError as exc:
         _emit({"command": "verify", "ok": False,
                "error": f"not JSON: {exc}"}, args, f"invalid: not JSON")
@@ -338,6 +333,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except WordSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:   # a certificate to read or an --out to write
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,8 @@ WordAST = tuple[Term, ...]
 # groups nest at most this deep, so parsing and evaluating a word never
 # recurse near Python's limit; the program's own witnesses nest 0 levels
 MAX_NESTING = 100
+# int() of a longer exponent literal fails under CPython's default limit
+MAX_EXPONENT_DIGITS = 4300
 
 
 def _tokenize(text: str):
@@ -57,6 +59,8 @@ def _tokenize(text: str):
                 k += 1
             if k == j:
                 raise WordSyntaxError("malformed exponent", i)
+            if k - j > MAX_EXPONENT_DIGITS:
+                raise WordSyntaxError("exponent too long", i)
             out.append(("^", int(text[i + 1:k]), i))
             i = k
             continue

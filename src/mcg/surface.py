@@ -41,13 +41,6 @@ class SurfaceModel:
     punctures: int
     rank: int
 
-    def labels(self) -> tuple[str, ...]:
-        out = []
-        for i in range(1, self.genus + 1):
-            out.extend((f"a{i}", f"b{i}"))
-        out.extend(f"g{k}" for k in range(1, self.punctures))
-        return tuple(out)
-
 
 def build(g: int, p: int) -> SurfaceModel:
     """Validate (g, p) and assemble the presentation data."""
@@ -74,16 +67,6 @@ def canonicalize(raw: Sequence[int]) -> CurveClass:
         raise ValueError("empty word does not name a curve")
     best = min(least_rotation(core), least_rotation(invert(core)))
     return CurveClass(best)
-
-
-def peripheral(model: SurfaceModel, k: int) -> CurveClass:
-    """The class of the loop around the k-th puncture."""
-    g, p = model.genus, model.punctures
-    if not 1 <= k <= p:
-        raise ValueError(f"puncture index {k} out of range 1..{p}")
-    if k < p:
-        return canonicalize((tables.g_letter(g, k),))
-    return canonicalize(tables.last_puncture_word(g, p))
 
 
 def curve_names(model: SurfaceModel) -> tuple[str, ...]:

@@ -40,10 +40,6 @@ def reduce_word(letters: Iterable[int]) -> Word:
     return tuple(out)
 
 
-def is_reduced(w: Sequence[int]) -> bool:
-    return all(w[k] != -w[k + 1] for k in range(len(w) - 1)) and 0 not in w
-
-
 def invert(w: Sequence[int]) -> Word:
     return tuple(map(neg, reversed(w)))
 
@@ -60,11 +56,6 @@ def power(w: Sequence[int], k: int) -> Word:
     if k < 0:
         w, k = invert(w), -k
     return concat(*([tuple(w)] * k)) if k else ()
-
-
-def conjugate(w: Sequence[int], by: Sequence[int]) -> Word:
-    """Return by . w . by^-1, reduced."""
-    return concat(by, w, invert(by))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -233,10 +224,6 @@ def ad_aut(rank: int, w: Sequence[int]) -> AutPair:
         tuple(concat(w, (i,), wi) for i in range(1, rank + 1)),
         tuple(concat(wi, (i,), w) for i in range(1, rank + 1)),
     )
-
-
-def is_identity_aut(f: AutPair) -> bool:
-    return all(f.fwd[i] == (i + 1,) for i in range(f.rank))
 
 
 def abelianized(f: AutPair) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,7 @@ import pytest
 from mcg import catalog
 from mcg.catalog import (GLOBAL, _mk, _peripheral_action, act_on_curve,
                          compose_mc, equal, generator, generator_names,
-                         identity_mc, inverse_mc, power_mc, twist, validate,
+                         identity_mc, inverse_mc, power_mc, validate,
                          vocabulary)
 from mcg import _tables as tables
 from mcg.surface import build, canonicalize, curve, curve_names
@@ -26,7 +26,7 @@ def model(request):
 
 def test_twist_acts_trivially_on_disjoint_curve():
     m = build(2, 2)
-    A1 = twist(m, "a1")
+    A1 = generator(m, "A1")
     for nm in ("a3", "a4"):
         c = curve(m, nm)
         assert act_on_curve(A1, c) == c
@@ -34,7 +34,7 @@ def test_twist_acts_trivially_on_disjoint_curve():
 
 def test_twist_moves_the_crossing_curve():
     m = build(1, 2)
-    A1 = twist(m, "a1")
+    A1 = generator(m, "A1")
     a2 = curve(m, "a2")
     assert act_on_curve(A1, a2) != a2
 
@@ -44,7 +44,7 @@ def test_twist_fixes_its_own_curve(model):
     names = [f"a{i}" for i in range(1, 2 * g + 1)] + ["b", "delta"] + \
             [f"e{j}" for j in range(p)]
     for nm in names:
-        F = twist(model, nm)
+        F = generator(model, nm.upper())
         c = curve(model, nm)
         assert act_on_curve(F, c) == c, nm
 
@@ -81,7 +81,7 @@ def test_half_twist_square_is_two_puncture_twist():
     for j in (1, 2):
         H = generator(m, f"H{j}{j + 1}")
         assert H.perm[j - 1] == j + 1 and H.perm[j] == j
-        assert equal(compose_mc(H, H), twist(m, f"n{j}"))
+        assert equal(compose_mc(H, H), generator(m, f"N{j}"))
 
 
 def test_half_twist_1p_swaps_outer_punctures():
@@ -129,8 +129,9 @@ def test_s_conjugation_climbs_the_chain(model):
     S = generator(model, "S")
     g = model.genus
     for i in range(1, 2 * g):
-        lhs = compose_mc(S, compose_mc(twist(model, f"a{i}"), inverse_mc(S)))
-        assert equal(lhs, twist(model, f"a{i + 1}"))
+        A = generator(model, f"A{i}")
+        lhs = compose_mc(S, compose_mc(A, inverse_mc(S)))
+        assert equal(lhs, generator(model, f"A{i + 1}"))
 
 
 def test_rotation_conjugates_curve_family(model):
@@ -145,8 +146,9 @@ def test_rotation_conjugates_twist_family(model):
     p = model.punctures
     T = generator(model, "T")
     for j in range(p):
-        lhs = compose_mc(T, compose_mc(twist(model, f"e{j}"), inverse_mc(T)))
-        assert equal(lhs, twist(model, f"e{(j + 1) % p}"))
+        E = generator(model, f"E{j}")
+        lhs = compose_mc(T, compose_mc(E, inverse_mc(T)))
+        assert equal(lhs, generator(model, f"E{(j + 1) % p}"))
 
 
 @pytest.mark.parametrize("gp", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 3)],
@@ -158,7 +160,7 @@ def test_curve_family_does_not_collapse(gp):
     p = m.punctures
     family = [curve(m, f"e{j}") for j in range(p)]
     assert len(set(family)) == p, family
-    E = [twist(m, f"e{j}") for j in range(p)]
+    E = [generator(m, f"E{j}") for j in range(p)]
     for i, j in itertools.combinations(range(p), 2):
         assert not equal(E[i], E[j]), (i, j)
 
@@ -201,7 +203,7 @@ def test_annulus_frame_pieces(gp):
     assert act_on_curve(rot, inside) != inside
     assert act_on_curve(power_mc(rot, p), inside) == inside
     hole = _mk(m, tables.tw_hole(g, p, g), "HOLE", GLOBAL)
-    A = {i: twist(m, f"a{i}") for i in range(1, 2 * g + 1)}
+    A = {i: generator(m, f"A{i}") for i in range(1, 2 * g + 1)}
     assert equal(compose_mc(hole, compose_mc(A[2 * g], hole)),
                  compose_mc(A[2 * g], compose_mc(hole, A[2 * g])))
     for i in range(1, 2 * g):
@@ -262,7 +264,7 @@ def test_products_keep_their_peripheral_action(model):
 
 def test_support_guards():
     m = build(1, 2)
-    A1 = twist(m, "a1")
+    A1 = generator(m, "A1")
     H = generator(m, "H1p")
     # sigma-side classes fix every puncture loop letter; disk-side classes
     # fix every handle letter
@@ -274,9 +276,9 @@ def test_support_guards():
 
 def test_compose_rejects_mixed_surfaces():
     with pytest.raises(ValueError):
-        compose_mc(twist(build(1, 2), "a1"), twist(build(1, 3), "a1"))
+        compose_mc(generator(build(1, 2), "A1"), generator(build(1, 3), "A1"))
     with pytest.raises(ValueError):
-        equal(twist(build(1, 2), "a1"), twist(build(2, 2), "a1"))
+        equal(generator(build(1, 2), "A1"), generator(build(2, 2), "A1"))
 
 
 FAMILY_GRID = [(1, 2), (1, 5), (2, 2), (3, 3)]
@@ -308,16 +310,16 @@ def test_family_curve_matches_power_aut(gp):
 
 
 def test_twist_rejects_unknown_names_like_curve(model):
+    # an unknown curve name names no twist generator either
     names = set(curve_names(model))
     for nm in ("a0", f"a{2 * model.genus + 1}", f"e{model.punctures}", "n0",
                "zz", "a01"):
         assert nm not in names
-        with pytest.raises(ValueError) as from_curve:
+        with pytest.raises(ValueError, match=f"^unknown curve {nm!r}"):
             curve(model, nm)
-        with pytest.raises(ValueError) as from_twist:
-            twist(model, nm)
-        assert str(from_twist.value) == str(from_curve.value)
-        assert str(from_twist.value).startswith(f"unknown curve {nm!r}")
+        with pytest.raises(ValueError, match=f"^unknown generator "
+                                             f"{nm.upper()!r}$"):
+            generator(model, nm.upper())
 
 
 @pytest.mark.parametrize("gp", [(1, 2), (1, 3), (2, 2), (2, 3), (1, 11), (1, 1),

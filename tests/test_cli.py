@@ -183,6 +183,13 @@ def test_cmd_eval_nesting(capsys):
     assert json.loads(out)["fingerprint"] == json.loads(flat)["fingerprint"]
 
 
+def test_cmd_eval_exponent_too_long(capsys):
+    code, out, err = run(capsys, "eval", "--g", "1", "--p", "2",
+                         "B^" + "9" * 5000)
+    assert (code, out) == (1, "")
+    assert err == "parse error: exponent too long at byte 1\n"
+
+
 def test_cmd_eq_parse_error(capsys):
     code, _, err = run(capsys, "eq", "--g", "1", "--p", "2", "A0", "A1")
     assert code == 1
@@ -230,6 +237,13 @@ def test_cmd_sym(capsys):
                     "generates": True, "order": 120}
 
 
+def test_cmd_sym_closure_bound(capsys):
+    for p in ("0", "-2", "11"):
+        code, out, err = run(capsys, "sym", "--p", p)
+        assert (code, out) == (2, ""), p
+        assert err == "error: closure bound: 1 <= p <= 10\n", p
+
+
 def test_cmd_sym_with_surface_cross_check(capsys):
     code, out, _ = run(capsys, "sym", "--g", "1", "--p", "3")
     assert code == 0
@@ -273,6 +287,11 @@ def test_cmd_certify_and_verify_roundtrip(capsys, tmp_path):
     assert code == 0 and out == ""
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0 and "valid" in out
+    # an --out that cannot be written is an exit code, not an exception
+    code, out, err = run(capsys, "certify-thm9", "--g", "1", "--p", "2",
+                         "--out", str(tmp_path / "absent" / "cert.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("i/o error: ") and "absent" in err
 
     tampered = json.loads(path.read_text())
     for item in tampered["certificate"]["transcript"]:

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from sympy import Matrix, diag, eye
 
 from mcg import reps
-from mcg.catalog import compose_mc, identity_mc, power_mc, twist, vocabulary
+from mcg.catalog import (compose_mc, generator, identity_mc, power_mc,
+                         vocabulary)
 from mcg.surface import build
 
 GRID = [(1, 2), (1, 3), (2, 2), (2, 3)]
@@ -21,86 +23,53 @@ def random_products(model, count, max_len, seed):
         yield F
 
 
-def test_det_frozen():
-    assert reps.det(((1, 0), (0, 1))) == 1
-    assert reps.det(((0, 1), (1, 0))) == -1
-    assert reps.det(((2, 1), (1, 1))) == 1
-    assert reps.det(((1, 2, 3), (4, 5, 6), (7, 8, 9))) == 0
-    assert reps.det(((3,),)) == 3
+def symplectic_form(g):
+    """One hyperbolic block per handle, in the handle order a_i, b_i."""
+    return diag(*[Matrix([[0, 1], [-1, 0]])] * g)
 
 
-def test_det_multiplicative_sample():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        A = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
-        B = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
-        assert reps.det(reps.matmul(A, B)) == reps.det(A) * reps.det(B)
-
-
-def test_symplectic_form_shape():
-    J = reps.symplectic_form(2)
-    assert len(J) == 4
-    assert J[0][1] == 1 and J[1][0] == -1
-    assert J[2][3] == 1 and J[3][2] == -1
-    assert all(J[i][j] == 0 for i in range(4) for j in range(4)
-               if {i, j} not in ({0, 1}, {2, 3}))
-
-
-def transvection_matrix(c, J):
-    # columns are images: v -> v + <v,c> c with <v,c> = v^T J c
-    n = len(c)
-    M = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            pairing = sum(J[j][k] * c[k] for k in range(n))
-            row.append((1 if i == j else 0) + c[i] * pairing)
-        M.append(tuple(row))
-    return tuple(M)
+def assert_form_laws(F, g, where):
+    """det = +-1, puncture classes map into the puncture span, and the
+    handle block M satisfies M^T J M = sign(F) J."""
+    H = Matrix(reps.homology(F))
+    assert H.det() in (-1, 1), where
+    assert H[:2 * g, 2 * g:].is_zero_matrix, where
+    M, J = H[:2 * g, :2 * g], symplectic_form(g)
+    assert M.T * J * M == F.sign * J, where
 
 
 def test_twist_homology_is_transvection():
     m = build(2, 2)
-    J = reps.symplectic_form(2)
-    # cycle coordinates of the twisting curves in the handle basis
-    cycles = {"a1": (1, 0, 0, 0), "a2": (0, 1, 0, 0),
-              "a4": (0, 0, 0, 1), "b": (0, 0, 1, 0)}
+    J = symplectic_form(2)
+    # cycle coordinates of the twisting curves in the handle basis; columns
+    # are images, v -> v + <v,c> c with <v,c> = v^T J c
+    cycles = {"A1": (1, 0, 0, 0), "A2": (0, 1, 0, 0),
+              "A4": (0, 0, 0, 1), "B": (0, 0, 1, 0)}
     for name, c in cycles.items():
-        M = reps.genus_block(twist(m, name))
-        assert M == transvection_matrix(c, J), name
+        c = Matrix(c)
+        M = Matrix(reps.homology(generator(m, name)))[:4, :4]
+        assert M == eye(4) + c * (J * c).T, name
 
 
 @pytest.mark.parametrize("g,p", GRID, ids=lambda v: str(v))
 def test_catalog_elements_preserve_form(g, p):
-    m = build(g, p)
-    J = reps.symplectic_form(g)
-    for name, F in sorted(vocabulary(m).items()):
-        M = reps.genus_block(F)
-        assert reps.det(reps.homology(F)) in (-1, 1), name
-        lhs = reps.matmul(reps.transpose(M), reps.matmul(J, M))
-        want = tuple(tuple(F.sign * x for x in row) for row in J)
-        assert lhs == want, name
+    for name, F in sorted(vocabulary(build(g, p)).items()):
+        assert_form_laws(F, g, name)
 
 
 @pytest.mark.parametrize("g,p", GRID, ids=lambda v: str(v))
 def test_random_products_preserve_form(g, p):
     m = build(g, p)
-    J = reps.symplectic_form(g)
-    for F in random_products(m, 30, 8, seed=g * 100 + p):
-        assert reps.det(reps.homology(F)) in (-1, 1)
-        M = reps.genus_block(F)
-        lhs = reps.matmul(reps.transpose(M), reps.matmul(J, M))
-        want = tuple(tuple(F.sign * x for x in row) for row in J)
-        assert lhs == want
+    for k, F in enumerate(random_products(m, 30, 8, seed=g * 100 + p)):
+        assert_form_laws(F, g, k)
 
 
 def test_homology_multiplicative():
     m = build(1, 3)
     vocab = vocabulary(m)
     F, G = vocab["A1"], vocab["T"]
-    assert reps.homology(compose_mc(F, G)) == \
-        reps.matmul(reps.homology(F), reps.homology(G))
+    assert Matrix(reps.homology(compose_mc(F, G))) == \
+        Matrix(reps.homology(F)) * Matrix(reps.homology(G))
 
 
 def test_fingerprint_fields():
