@@ -1,13 +1,15 @@
 """Named mapping classes, group operations, and the relation suite.
 
 A mapping class is carried as an outer automorphism of the surface group
-together with its induced puncture permutation and orientation sign.  The
-catalog builds no table: each generator wraps the table of one ``_tables``
-function (``_makers``), once per surface and process, and its permutation
-and sign are read off the automorphism by matching the image of each
-puncture loop against the peripheral classes, so a bad table cannot ship a
-plausible-looking wrapper.  Equality of mapping classes is equality of
-outer automorphisms with matching permutation and sign.
+together with its induced puncture permutation and orientation sign, and
+nothing else: generator names and supports live in ``_makers``, not in
+classes, so products build no label.  The catalog builds no table: each
+generator wraps the table of one ``_tables`` function (``_makers``), once
+per surface and process, and its permutation and sign are read off the
+automorphism by matching the image of each puncture loop against the
+peripheral classes, so a bad table cannot ship a plausible-looking
+wrapper.  Equality of mapping classes is equality of outer automorphisms
+with matching permutation and sign.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ class MappingClass:
     aut: AutPair
     perm: tuple[int, ...]
     sign: int
-    provenance: str
-    support: str
 
 
 @lru_cache(maxsize=None)
@@ -82,19 +82,19 @@ def _peripheral_action(model: SurfaceModel, aut: AutPair) -> tuple[tuple[int, ..
     return tuple(perm), signs.pop()
 
 
-def _mk(model: SurfaceModel, aut: AutPair, provenance: str, support: str) -> MappingClass:
+def _mk(model: SurfaceModel, aut: AutPair, name: str, support: str) -> MappingClass:
     perm, sign = _peripheral_action(model, aut)
     if support == SIGMA_ONLY:
         g = model.genus
         for k in range(1, model.punctures):
             x = tables.g_letter(g, k)
             if aut.fwd[x - 1] != (x,):
-                raise ValueError(f"{provenance}: SigmaOnly class moves a puncture loop")
+                raise ValueError(f"{name}: SigmaOnly class moves a puncture loop")
     if support == DISK_ONLY:
         for x in range(1, 2 * model.genus + 1):
             if aut.fwd[x - 1] != (x,):
-                raise ValueError(f"{provenance}: DiskOnly class moves a handle generator")
-    return MappingClass(model, aut, perm, sign, provenance, support)
+                raise ValueError(f"{name}: DiskOnly class moves a handle generator")
+    return MappingClass(model, aut, perm, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -114,29 +114,14 @@ def compose_mc(F: MappingClass, G: MappingClass) -> MappingClass:
     if F.model != G.model:
         raise ValueError("mapping classes live on different surfaces")
     perm = tuple(F.perm[G.perm[k] - 1] for k in range(len(G.perm)))
-    support = F.support if F.support == G.support else GLOBAL
-    return MappingClass(
-        F.model,
-        compose(F.aut, G.aut),
-        perm,
-        F.sign * G.sign,
-        f"{F.provenance}·{G.provenance}",
-        support,
-    )
+    return MappingClass(F.model, compose(F.aut, G.aut), perm, F.sign * G.sign)
 
 
 def inverse_mc(F: MappingClass) -> MappingClass:
     inv_perm = [0] * len(F.perm)
     for k, m in enumerate(F.perm, start=1):
         inv_perm[m - 1] = k
-    return MappingClass(
-        F.model,
-        inverse(F.aut),
-        tuple(inv_perm),
-        F.sign,
-        f"({F.provenance})^-1",
-        F.support,
-    )
+    return MappingClass(F.model, inverse(F.aut), tuple(inv_perm), F.sign)
 
 
 def power_mc(F: MappingClass, k: int) -> MappingClass:
@@ -144,7 +129,7 @@ def power_mc(F: MappingClass, k: int) -> MappingClass:
 
     At most 2 floor(log2 |k|) compose_mc calls.  Composition is
     associative on reduced tables, so the result equals the |k|-fold
-    product, provenance "F·F·…·F" included.
+    product.
     """
     if k == 0:
         return identity_mc(F.model)
@@ -209,12 +194,12 @@ class ValidationReport:
         }
 
 
-def _commutes(F: MappingClass, G: MappingClass) -> bool:
-    return equal(compose_mc(F, G), compose_mc(G, F))
-
-
 def validate(model: SurfaceModel) -> ValidationReport:
-    """Run the full relation suite; failures are data, not exceptions."""
+    """Run the full relation suite; failures are data, not exceptions.
+
+    Items name each class by its generator name, except S, which reads as
+    the product A2g·…·A1 it stands for.
+    """
     g, p = model.genus, model.punctures
     items: list[ValidationItem] = []
 
@@ -227,15 +212,36 @@ def validate(model: SurfaceModel) -> ValidationReport:
         items.append(ValidationItem(name, ok, detail))
 
     vocab = vocabulary(model)
-    A = {i: vocab[f"A{i}"] for i in range(1, 2 * g + 1)}
-    B, D, E0, S = vocab["B"], vocab["DELTA"], vocab["E0"], vocab["S"]
-    H = {j: vocab[f"H{j}{j + 1}"] for j in range(1, p)}
-    N = {j: vocab[f"N{j}"] for j in range(1, p)}
+    label = {name: name for name in vocab}
+    label["S"] = "·".join(f"A{i}" for i in range(2 * g, 0, -1))
+
+    def commute(x: str, y: str, kind: str = "commute") -> None:
+        X, Y = vocab[x], vocab[y]
+        check(f"{kind} {label[x]}, {label[y]}",
+              lambda: equal(compose_mc(X, Y), compose_mc(Y, X)),
+              f"{label[x]} and {label[y]} fail to commute")
+
+    def braid(x: str, y: str) -> None:
+        X, Y = vocab[x], vocab[y]
+        check(f"braid {x}, {y}",
+              lambda: equal(compose_mc(X, compose_mc(Y, X)),
+                            compose_mc(Y, compose_mc(X, Y))),
+              f"braid fails for {x}, {y}")
+
+    def conjugates(c: str, x: str, y: str, onto: str) -> None:
+        C, X, Y = vocab[c], vocab[x], vocab[y]
+        check(f"{c} {x} {c}^-1 = {y}",
+              lambda: equal(compose_mc(C, compose_mc(X, inverse_mc(C))), Y),
+              f"conjugation by {c} does not carry {x} {onto}")
+
+    A = [f"A{i}" for i in range(1, 2 * g + 1)]
+    H = [f"H{j}{j + 1}" for j in range(1, p)]
+    N = [f"N{j}" for j in range(1, p)]
     ident = identity_mc(model)
 
     if p >= 2:
-        r1, r2, R = vocab["RHO1"], vocab["RHO2"], vocab["R"]
-        for nm, F, want_sign in (("rho1", r1, 1), ("rho2", r2, 1), ("R", R, -1)):
+        for nm, F, want_sign in (("rho1", vocab["RHO1"], 1),
+                                 ("rho2", vocab["RHO2"], 1), ("R", vocab["R"], -1)):
             check(f"involution {nm}^2 = 1",
                   lambda F=F: equal(compose_mc(F, F), ident),
                   f"{nm}^2 is not the identity class")
@@ -243,81 +249,53 @@ def validate(model: SurfaceModel) -> ValidationReport:
                   lambda F=F, want=want_sign: F.sign == want,
                   f"sign({nm}) = {F.sign:+d}")
 
-    for i in A:
-        for j in A:
-            if j - i >= 2:
-                check(f"commute A{i}, A{j}", lambda i=i, j=j: _commutes(A[i], A[j]),
-                      f"A{i} and A{j} fail to commute")
-    for i in A:
-        if abs(i - 2) >= 2:
-            check(f"commute A{i}, E0", lambda i=i: _commutes(A[i], E0),
-                  f"A{i} and E0 fail to commute")
+    for i in range(2 * g):
+        for j in range(i + 2, 2 * g):
+            commute(A[i], A[j])
+    for i in range(2 * g):
+        if abs(i - 1) >= 2:
+            commute(A[i], "E0")
     if p >= 3:
-        sig = [A[i] for i in A] + [B, E0, S]
-        for F in sig:
-            check(f"commute H12, {F.provenance}", lambda F=F: _commutes(H[1], F),
-                  f"H12 and {F.provenance} fail to commute")
+        for x in A + ["B", "E0", "S"]:
+            commute("H12", x)
     # delta bounds the handle/disk decomposition: every one-sided class commutes
-    one_sided = [A[i] for i in A] + [B, E0, S] + [H[j] for j in H]
-    one_sided += [N[j] for j in N]
-    for F in one_sided:
-        check(f"commute DELTA, {F.provenance}", lambda F=F: _commutes(D, F),
-              f"DELTA and {F.provenance} fail to commute")
+    for x in A + ["B", "E0", "S"] + H + N:
+        commute("DELTA", x)
 
-    for i in range(1, 2 * g):
-        check(f"braid A{i}, A{i + 1}",
-              lambda i=i: equal(compose_mc(A[i], compose_mc(A[i + 1], A[i])),
-                                compose_mc(A[i + 1], compose_mc(A[i], A[i + 1]))),
-              f"braid fails for A{i}, A{i + 1}")
+    for i in range(2 * g - 1):
+        braid(A[i], A[i + 1])
     if g >= 2:
-        check("braid B, A4",
-              lambda: equal(compose_mc(B, compose_mc(A[4], B)),
-                            compose_mc(A[4], compose_mc(B, A[4]))),
-              "braid fails for B, A4")
+        braid("B", "A4")
 
-    for j in H:
-        check(f"H{j}{j + 1}^2 = twist(n{j})",
-              lambda j=j: equal(compose_mc(H[j], H[j]), N[j]),
-              f"square of H{j}{j + 1} is not the n{j} twist")
+    for j, (h, n) in enumerate(zip(H, N), start=1):
+        check(f"{h}^2 = twist(n{j})",
+              lambda F=vocab[h], G=vocab[n]: equal(compose_mc(F, F), G),
+              f"square of {h} is not the n{j} twist")
 
-    for i in range(1, 2 * g):
-        check(f"S A{i} S^-1 = A{i + 1}",
-              lambda i=i: equal(compose_mc(S, compose_mc(A[i], inverse_mc(S))), A[i + 1]),
-              f"conjugation by S does not carry A{i} to A{i + 1}")
+    for i in range(2 * g - 1):
+        conjugates("S", A[i], A[i + 1], f"to {A[i + 1]}")
 
     if p >= 2:
         T = vocab["T"]
         check("perm(T) is the long cycle",
               lambda: T.perm == tuple(list(range(2, p + 1)) + [1]),
               f"perm(T) = {T.perm}")
-        Ej = {j: vocab[f"E{j}"] for j in range(p)}
         for j in range(p):
-            check(f"T E{j} T^-1 = E{(j + 1) % p}",
-                  lambda j=j: equal(
-                      compose_mc(T, compose_mc(Ej[j], inverse_mc(T))),
-                      Ej[(j + 1) % p]),
-                  f"conjugation by T does not carry E{j} forward")
+            conjugates("T", f"E{j}", f"E{(j + 1) % p}", "forward")
         ej = {j: curve(model, f"e{j}") for j in range(p)}
         for j in range(p):
             check(f"T carries e{j} to e{(j + 1) % p}",
                   lambda j=j: act_on_curve(T, ej[j]) == ej[(j + 1) % p],
                   f"act_on_curve(T, e{j}) is not e{(j + 1) % p}")
 
-    def peripheral_ok(F: MappingClass) -> bool:
-        return _peripheral_action(model, F.aut) == (F.perm, F.sign)
+    for name, F in vocab.items():
+        check(f"peripheral structure of {label[name]}",
+              lambda F=F: _peripheral_action(model, F.aut) == (F.perm, F.sign),
+              f"stored puncture action of {label[name]} disagrees with its table")
 
-    for F in vocab.values():
-        check(f"peripheral structure of {F.provenance}",
-              lambda F=F: peripheral_ok(F),
-              f"stored puncture action of {F.provenance} disagrees with its table")
-
-    disk = [H[j] for j in H]
-    sigma = [A[i] for i in A] + [B, E0]
-    for Fd in disk:
-        for Fs in sigma:
-            check(f"disjoint supports {Fd.provenance}, {Fs.provenance}",
-                  lambda Fd=Fd, Fs=Fs: _commutes(Fd, Fs),
-                  f"{Fd.provenance} and {Fs.provenance} fail to commute")
+    for x in H:
+        for y in A + ["B", "E0"]:
+            commute(x, y, "disjoint supports")
 
     return ValidationReport(g, p, tuple(items))
 
@@ -367,10 +345,7 @@ def generator(model: SurfaceModel, name: str) -> MappingClass:
         support, table, *args = _makers(model)[name]
     except KeyError:
         raise ValueError(f"unknown generator {name!r}") from None
-    g, p = model.genus, model.punctures
-    # the provenance is the name, except S keeps the product it stands for
-    prov = "·".join(f"A{i}" for i in range(2 * g, 0, -1)) if name == "S" else name
-    return _mk(model, table(g, p, *args), prov, support)
+    return _mk(model, table(model.genus, model.punctures, *args), name, support)
 
 
 def vocabulary(model: SurfaceModel) -> dict[str, MappingClass]:

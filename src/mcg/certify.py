@@ -23,6 +23,9 @@ from .grammar import (Term, WordAST, WordSyntaxError, evaluate_ast,
 
 SCHEMA_VERSION = "1"
 
+# the paper's generators of Mod(Sigma_{g,p}) for p >= 2, in certificate order
+GENERATORS = ("B", "SH1p", "T")
+
 LEMMA7_READING = (
     "closure reading: a subgroup K of H that contains the kernel image "
     "i(N) and maps onto the quotient Q equals H"
@@ -289,14 +292,13 @@ def _kernel_step(target: str, witness: str) -> dict:
 
 
 def _membership_certificate(model: SurfaceModel, name: str,
-                            target: MappingClass, generators: Sequence[str],
-                            witness: str) -> Certificate:
+                            target: MappingClass, witness: str) -> Certificate:
     return Certificate(
         schema_version=SCHEMA_VERSION,
         surface={"g": model.genus, "p": model.punctures},
         kind="membership",
         target=name,
-        generators=sorted(generators),
+        generators=list(GENERATORS),
         witness=witness,
         transcript=[_kernel_step(name, witness)],
         fingerprints={"target": reps.fingerprint(target).as_dict()},
@@ -304,19 +306,17 @@ def _membership_certificate(model: SurfaceModel, name: str,
 
 
 def synthesize(model: SurfaceModel, name: str,
-               generators: dict[str, MappingClass],
                limits: SearchLimits = SearchLimits(),
                ) -> Optional[tuple[WordAST, Certificate]]:
-    """Witness word for the generator name over the named generators, or
-    None when no rule gives one and the search runs out of budget; absence
-    is never claimed.
+    """Witness word for the generator name over B, SH1p, T, or None when
+    no rule gives one and the search runs out of budget; absence is never
+    claimed.
 
     _mim_search runs only when _derive gives None, and its word passes the
     same exact gate.  The membership certificate holds one kernel-witness
-    step.  verify builds the target from its name and reads the witness
-    over B, SH1p, T, so pass the generators of _thm_generators for a
-    certificate that verifies.
+    step, which verify replays over the same generators.
     """
+    generators = _thm_generators(model)
     classes: dict = {}
     word = _derive(model, name, generators, {}, classes)
     target = generator(model, name)
@@ -326,7 +326,7 @@ def synthesize(model: SurfaceModel, name: str,
             word = _gate(model, found, generators, classes, target)
     if word is None:
         return None
-    return word, _membership_certificate(model, name, target, generators,
+    return word, _membership_certificate(model, name, target,
                                          print_word(word))
 
 
@@ -385,16 +385,14 @@ def _derive(model: SurfaceModel, name: str,
         sub = (Term(same, 1),)
     elif name == "E0":
         sub = _derive(model, "A2", generators, memo, classes)
-    elif kind == "E" and index.isdigit() and "T" in generators:
+    elif kind == "E" and index.isdigit():
         conj = (Term("T", int(index)),)
         sub = _derive(model, "E0", generators, memo, classes)
-    elif kind == "A" and index.isdigit() and int(index) >= 2 \
-            and "SH1p" in generators:
+    elif kind == "A" and index.isdigit() and int(index) >= 2:
         conj = (Term("SH1p", 1),)
         sub = _derive(model, f"A{int(index) - 1}", generators, memo,
                       classes)
-    elif name == "A1" and model.genus >= 2 \
-            and {"B", "SH1p"} <= generators.keys():
+    elif name == "A1" and model.genus >= 2:
         conj, sub = _a1_conjugator(model.genus), (Term("B", 1),)
     inv = tuple(Term(t.base, -t.exp) for t in reversed(conj))
     word = None if sub is None else _gate(model, conj + sub + inv,
@@ -417,7 +415,7 @@ def _gervais_set(g: int, p: int) -> list[str]:
 def closure_certificate(
         kernel_memberships: Sequence[tuple[str, Optional[str]]],
         quotient_images: Sequence[Sequence[int]],
-        p: int, g: int, generators: Sequence[str]) -> Certificate:
+        p: int, g: int) -> Certificate:
     """The theorem-9 closure argument on (g, p) as a proof object.
 
     kernel_memberships pairs kernel targets with witness words; a target
@@ -453,7 +451,7 @@ def closure_certificate(
         surface={"g": g, "p": p},
         kind="theorem-9",
         target="Mod",
-        generators=sorted(generators),
+        generators=list(GENERATORS),
         witness=None,
         transcript=transcript,
         fingerprints={},
@@ -475,7 +473,7 @@ def _thm9_certificate(model: SurfaceModel, gens: dict[str, MappingClass],
                       ) -> Certificate:
     images = [list(gens["SH1p"].perm), list(gens["T"].perm)]
     return closure_certificate(witnesses, images, model.punctures,
-                               model.genus, gens)
+                               model.genus)
 
 
 def certify_thm9(model: SurfaceModel) -> Certificate:
@@ -509,7 +507,7 @@ def certify_thm10(model: SurfaceModel) -> Certificate:
         surface={"g": model.genus, "p": model.punctures},
         kind="theorem-10",
         target="Mod+-",
-        generators=sorted(["B", "SH1p", "T", "R"]),
+        generators=sorted(GENERATORS + ("R",)),
         witness=None,
         transcript=transcript,
         fingerprints={"TP": reps.fingerprint(tp).as_dict()},
@@ -580,7 +578,7 @@ def verify(cert: Certificate) -> bool:
         witnesses = [(cert.target, cert.witness)]
         expected = _membership_certificate(model, cert.target,
                                            generator(model, cert.target),
-                                           list(gens), cert.witness)
+                                           cert.witness)
     else:
         return False
     # a valid match carries a witness text for every target

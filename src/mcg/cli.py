@@ -17,8 +17,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import certify, reps
-from .catalog import (act_on_curve, generator, generator_names, validate,
-                      vocabulary)
+from .catalog import (_makers, act_on_curve, generator, generator_names,
+                      validate, vocabulary)
 from .certify import SCHEMA_VERSION
 from .grammar import (WordSyntaxError, base_names, evaluate_ast, parse_word,
                       print_word)
@@ -62,11 +62,11 @@ class UsageError(Exception):
 
 def cmd_gens(args) -> int:
     model = _model(args)
-    vocab = vocabulary(model)
+    vocab, makers = vocabulary(model), _makers(model)
     rows = []
     for name in sorted(vocab):
         F = vocab[name]
-        rows.append({"name": name, "support": F.support,
+        rows.append({"name": name, "support": makers[name][0],
                      "perm": list(F.perm), "sign": F.sign})
     human = "\n".join(
         f"{r['name']:6s} support={r['support']:10s} "
@@ -187,7 +187,6 @@ def cmd_synth(args) -> int:
         raise UsageError(f"unknown target {args.target!r}; vocabulary: "
                          f"{', '.join(sorted(names))}")
     got = certify.synthesize(model, args.target,
-                             certify._thm_generators(model),
                              limits=certify.SearchLimits(
                                  args.max_depth, args.max_states))
     if got is None:
@@ -223,7 +222,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit({"command": "verify", "ok": False,
                "error": f"not JSON: {exc}"}, args, f"invalid: not JSON")
         return EXIT_FAILED

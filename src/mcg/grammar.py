@@ -55,7 +55,7 @@ def _tokenize(text: str):
             if j < n and text[j] in "+-":
                 j += 1
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and text[k].isdecimal():
                 k += 1
             if k == j:
                 raise WordSyntaxError("malformed exponent", i)
@@ -120,10 +120,8 @@ def parse_word(text: str, names: Optional[Sequence[str]] = None) -> WordAST:
                         f"{', '.join(sorted(names))}", off)
                 pos += 1
                 terms.append(Term(value, _exponent()))
-            elif kind == "^":
+            else:   # "^", the one kind left
                 raise WordSyntaxError("exponent without a base", off)
-            else:
-                raise WordSyntaxError(f"unexpected token {value!r}", off)
         return tuple(terms)
 
     def _exponent() -> int:
@@ -205,8 +203,8 @@ def evaluate_ast(ast: WordAST, gens: dict[str, MappingClass],
     the powers take O(log |a-b|) composes.  Other words fold left.  memo
     maps each word evaluated with it (groups too) to its class and its
     outer (x, M) to {a: class}; a caller keeps one memo for one run.  By
-    associativity the tables, perm, sign and provenance are the fold's,
-    so a caller's exact equal decides as it did on the fold.
+    associativity the tables, perm and sign are the fold's, so a caller's
+    exact equal decides as it did on the fold.
     """
     memo = {} if memo is None else memo
     layers, out, word = [], memo.get(ast) if memo else None, ast

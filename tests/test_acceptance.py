@@ -108,7 +108,7 @@ def test_criterion_06_membership_witnesses():
     vocab = vocabulary(m)
     gens = certify._thm_generators(m)
     for name in ("A1", "A2", "E0", "E1"):
-        got = certify.synthesize(m, name, gens)
+        got = certify.synthesize(m, name)
         if got is None:
             report(6, False, f"{name}: no witness")
         word, cert = got

@@ -32,6 +32,11 @@ def test_parse_exponents():
     assert parse_word("T^+2") == (Term("T", 2),)
     # stacked exponents multiply
     assert parse_word("T^2^3") == (Term("T", 6),)
+    # any decimal digit int() reads is a digit; a superscript is not one
+    assert parse_word("B^\u0663") == (Term("B", 3),)
+    assert parse_word("B^\U0001d7d0") == (Term("B", 2),)
+    with pytest.raises(WordSyntaxError, match="malformed exponent at byte 1"):
+        parse_word("B^\u00b2")
 
 
 def test_parse_groups():
@@ -190,6 +195,12 @@ def test_cmd_eval_exponent_too_long(capsys):
     assert err == "parse error: exponent too long at byte 1\n"
 
 
+def test_cmd_eval_superscript_exponent(capsys):
+    code, out, err = run(capsys, "eval", "--g", "1", "--p", "2", "B^\u00b2")
+    assert (code, out) == (1, "")
+    assert err == "parse error: malformed exponent at byte 1\n"
+
+
 def test_cmd_eq_parse_error(capsys):
     code, _, err = run(capsys, "eq", "--g", "1", "--p", "2", "A0", "A1")
     assert code == 1
@@ -308,6 +319,13 @@ def test_cmd_verify_malformed_file(capsys, tmp_path):
     path.write_text("{not json")
     code, _, _ = run(capsys, "verify", str(path))
     assert code == 2
+    # a file that is not UTF-8 gets the same report as malformed JSON
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "verify", "--json", str(path))
+    report = json.loads(out)
+    assert (code, err) == (2, "")
+    assert report["command"] == "verify" and report["ok"] is False
+    assert report["error"].startswith("not JSON: 'utf-8' codec")
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert code == 1 and "i/o error" in err
     for scalar in ("5", "true", "null"):
