@@ -15,6 +15,9 @@ half twists, pushes and the mirror were derived once from an explicit
 planar realization (handles in a row, punctures in a row, basepoint below
 both rows) by tracking each generator arc across the support annulus of
 the class, and are frozen as data; every other table is a product of them.
+The rotation T is such a product taken up to an inner automorphism: its
+stored table is a short representative of the product's outer class, and
+every table built on T (the family twists, rho2, T') inherits it.
 Correctness is enforced by the relation suite in the catalog module, which
 exercises braid, chain, disjointness, involution, and peripheral laws over
 the test grid; the tables themselves make no appeal to the drawing.
@@ -22,12 +25,15 @@ the test grid; the tables themselves make no appeal to the drawing.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from functools import lru_cache, reduce
 from typing import Sequence
 
 from .words import (
     AutPair,
     Word,
+    _Pending,
+    ad_aut,
     compose,
     concat,
     inverse,
@@ -368,6 +374,45 @@ def annulus_frame(g: int, p: int) -> AutPair:
     return fold(twists)
 
 
+def _short(f: AutPair) -> AutPair:
+    """ad(w) f, for a word w grown on the left one letter at a time while
+    the total length of the forward table drops.
+
+    Conjugating by a letter c cancels one letter at each image that starts
+    with c^-1 and one at each image that ends with c, and adds one at every
+    other end, so a step reads only the first and last letters of the
+    images.  Each of the 2n ends counts for one letter, and a letter
+    shortens the table when more than n count for it, so at most one letter
+    does at each step.  The result is one no single letter shortens, so
+    _short is idempotent.  It is the same outer class as f, so it induces
+    the same puncture permutation and sign; its inverse table is f's
+    inverse table after ad(w)^-1, built when read.
+    """
+    images = [deque(u) for u in f.fwd]
+    n = f.rank
+    steps: list[int] = []
+    while True:
+        ends = Counter([-u[0] for u in images] + [u[-1] for u in images])
+        c = max(ends, key=ends.get)
+        if ends[c] <= n:
+            break
+        for u in images:
+            start, end = u[0] == -c, u[-1] == c
+            if start:
+                u.popleft()
+            else:
+                u.appendleft(c)
+            if end:
+                u.pop()
+            else:
+                u.append(-c)
+        steps.append(c)
+    if not steps:
+        return f
+    return AutPair(n, tuple(map(tuple, images)),
+                   _Pending(f._bwd, ad_aut(n, steps[::-1])._bwd))
+
+
 def _in_annulus_frame(g: int, p: int, f: AutPair) -> AutPair:
     frame = annulus_frame(g, p)
     return fold([inverse(frame), f, frame])
@@ -424,18 +469,28 @@ def curve_rotation(g: int, p: int) -> AutPair:
     odd no involution rho2 pairs with it to a rotation whose family
     closes with p distinct curves: the plain annulus_rotation is such a
     pair, and its family collapses to e0 alone.
+
+    Every branch returns _short of its product: the same outer class, so
+    the same puncture permutation and sign, with a forward table of 740
+    letters in place of 3,214 at (10,2).  The twists E_j, rho2 and T' are
+    built through T and come out short with it.  Nothing else is shortened.
+    E_j must stay T E_(j-1) T^-1 exactly, since witnesses built that way
+    are checked by identical tables; rho1 shortened makes rho2 = rho1^-1 T
+    longer (494 -> 934 letters at (8,2)); and the SigmaOnly and DiskOnly
+    guards of the catalog compare the exact letters of E0, the chain
+    twists, S and the disk classes.
     """
     if p < 2:
         raise ValueError("rotation needs at least two punctures")
     drot = row_rotation(g, p)
     pa1 = push_over(g, p, 1)
     if g == 1:
-        return compose(pa1, drot)
+        return _short(compose(pa1, drot))
     if p == 2:
         core = fold([pa1, drot, inverse(pa1), inverse(push_through(g, p, 1))])
         z = fold([inverse(push_through(g, p, i)) for i in range(2, g + 1)])
-        return fold([inverse(z), core, z])
-    return _in_annulus_frame(g, p, annulus_rotation(g, p))
+        return _short(fold([inverse(z), core, z]))
+    return _short(_in_annulus_frame(g, p, annulus_rotation(g, p)))
 
 
 @lru_cache(maxsize=None)

@@ -17,9 +17,12 @@ from .surface import SurfaceModel
 
 
 class WordSyntaxError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at byte {offset}")
-        self.offset = offset
+    """A parse error at character index of text, reported by its UTF-8
+    byte offset."""
+
+    def __init__(self, message: str, text: str, index: int):
+        self.offset = len(text[:index].encode())
+        super().__init__(f"{message} at byte {self.offset}")
 
 
 class Term(NamedTuple):
@@ -38,7 +41,7 @@ MAX_EXPONENT_DIGITS = 4300
 
 
 def _tokenize(text: str):
-    # tokens: (kind, value, byte offset)
+    # tokens: (kind, value, character index)
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -58,9 +61,9 @@ def _tokenize(text: str):
             while k < n and text[k].isdecimal():
                 k += 1
             if k == j:
-                raise WordSyntaxError("malformed exponent", i)
+                raise WordSyntaxError("malformed exponent", text, i)
             if k - j > MAX_EXPONENT_DIGITS:
-                raise WordSyntaxError("exponent too long", i)
+                raise WordSyntaxError("exponent too long", text, i)
             out.append(("^", int(text[i + 1:k]), i))
             i = k
             continue
@@ -69,11 +72,11 @@ def _tokenize(text: str):
             while k < n and (text[k].isalnum() or text[k] == "_"):
                 k += 1
             if ch == "1" and k > i + 1:
-                raise WordSyntaxError(f"unexpected character {ch!r}", i)
+                raise WordSyntaxError(f"unexpected character {ch!r}", text, i)
             out.append(("1" if ch == "1" else "name", text[i:k], i))
             i = k
             continue
-        raise WordSyntaxError(f"unexpected character {ch!r}", i)
+        raise WordSyntaxError(f"unexpected character {ch!r}", text, i)
     return out
 
 
@@ -83,7 +86,7 @@ def parse_word(text: str, names: Optional[Sequence[str]] = None) -> WordAST:
     offset."""
     tokens = _tokenize(text)
     if not tokens:
-        raise WordSyntaxError("empty word", 0)
+        raise WordSyntaxError("empty word", text, 0)
     pos = 0
 
     def parse_terms(depth: int) -> tuple:
@@ -93,19 +96,19 @@ def parse_word(text: str, names: Optional[Sequence[str]] = None) -> WordAST:
             kind, value, off = tokens[pos]
             if kind == ")":
                 if not depth:
-                    raise WordSyntaxError("unbalanced parentheses", off)
+                    raise WordSyntaxError("unbalanced parentheses", text, off)
                 break
             if kind == "(":
                 if depth == MAX_NESTING:
                     raise WordSyntaxError(
-                        f"groups nested deeper than {MAX_NESTING}", off)
+                        f"groups nested deeper than {MAX_NESTING}", text, off)
                 pos += 1
                 start = pos
                 inner = parse_terms(depth + 1)
                 if pos >= len(tokens) or tokens[pos][0] != ")":
-                    raise WordSyntaxError("unbalanced parentheses", off)
+                    raise WordSyntaxError("unbalanced parentheses", text, off)
                 if pos == start:
-                    raise WordSyntaxError("empty group", off)
+                    raise WordSyntaxError("empty group", text, off)
                 pos += 1
                 exp = _exponent()
                 if inner:
@@ -117,11 +120,11 @@ def parse_word(text: str, names: Optional[Sequence[str]] = None) -> WordAST:
                 if names is not None and value not in names:
                     raise WordSyntaxError(
                         f"unknown generator {value!r}; vocabulary: "
-                        f"{', '.join(sorted(names))}", off)
+                        f"{', '.join(sorted(names))}", text, off)
                 pos += 1
                 terms.append(Term(value, _exponent()))
             else:   # "^", the one kind left
-                raise WordSyntaxError("exponent without a base", off)
+                raise WordSyntaxError("exponent without a base", text, off)
         return tuple(terms)
 
     def _exponent() -> int:
@@ -132,12 +135,12 @@ def parse_word(text: str, names: Optional[Sequence[str]] = None) -> WordAST:
             exp *= value
             pos += 1
         if exp == 0:
-            raise WordSyntaxError("zero exponent", tokens[pos - 1][2])
+            raise WordSyntaxError("zero exponent", text, tokens[pos - 1][2])
         return exp
 
     ast = parse_terms(0)
     if pos < len(tokens):
-        raise WordSyntaxError("unbalanced parentheses", tokens[pos][2])
+        raise WordSyntaxError("unbalanced parentheses", text, tokens[pos][2])
     return ast
 
 

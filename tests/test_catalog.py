@@ -14,7 +14,8 @@ from mcg.catalog import (GLOBAL, _mk, _peripheral_action, act_on_curve,
                          vocabulary)
 from mcg import _tables as tables
 from mcg.surface import build, canonicalize, curve, curve_names
-from mcg.words import apply_aut, inverse
+from mcg.words import (apply_aut, compose, concat, inner_witness, inverse,
+                       invert)
 
 GRID = [(1, 2), (1, 3), (2, 2), (2, 3)]
 
@@ -379,15 +380,60 @@ def test_power_mc_squares(monkeypatch):
     assert B1000.aut.fwd == tables.power_aut(B.aut, 1000).fwd
 
 
+def unshortened_rotation(g, p):
+    # the product curve_rotation takes before _short picks its representative
+    drot, pa1 = tables.row_rotation(g, p), tables.push_over(g, p, 1)
+    if g == 1:
+        return compose(pa1, drot)
+    if p == 2:
+        core = tables.fold([pa1, drot, inverse(pa1),
+                            inverse(tables.push_through(g, p, 1))])
+        z = tables.fold([inverse(tables.push_through(g, p, i))
+                         for i in range(2, g + 1)])
+        return tables.fold([inverse(z), core, z])
+    frame = tables.annulus_frame(g, p)
+    return tables.fold([inverse(frame), tables.annulus_rotation(g, p), frame])
+
+
+@pytest.mark.parametrize("gp", [(1, 2), (1, 5), (2, 2), (7, 2), (2, 3), (3, 3)],
+                         ids=lambda gp: f"g{gp[0]}p{gp[1]}")
+def test_rotation_is_outer_equal_to_its_product(gp):
+    m = build(*gp)
+    T, raw = generator(m, "T"), unshortened_rotation(*gp)
+    assert inner_witness(T.aut, raw) is not None
+    assert (T.perm, T.sign) == _peripheral_action(m, raw)
+    assert sum(map(len, T.aut.fwd)) <= sum(map(len, raw.fwd))
+
+
+def reduced_words_upto(n, k):
+    words = [()]
+    for w in words:
+        if len(w) < k:
+            words.extend(w + (x,) for x in range(-n, n + 1)
+                         if x and (not w or x != -w[-1]))
+    return words
+
+
+@pytest.mark.parametrize("gp", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)],
+                         ids=lambda gp: f"g{gp[0]}p{gp[1]}")
+def test_no_short_conjugator_shortens_rotation(gp):
+    T = tables.curve_rotation(*gp)
+    least = sum(map(len, T.fwd))
+    for w in reduced_words_upto(T.rank, 4):
+        wi = invert(w)
+        assert sum(len(concat(w, u, wi)) for u in T.fwd) >= least, w
+
+
 # sha256 of the sorted-key JSON of {name: (fwd, bwd, perm, sign)} over the
-# vocabulary, taken before the substitution kernel cut whole images in; a
-# change to any generator table changes its digest.
+# vocabulary, taken after curve_rotation stored T by a short inner
+# representative (g3p3 kept its tables); a change to any generator table
+# changes its digest.
 FROZEN_TABLES = {
-    (1, 2): "c5aff8cbcbda658aef286fbbc81801eedc1f5f4b4cb08e74a1b1406eb0a235d8",
-    (2, 2): "53239749633db4aba307539db415185a539cdfc40c76e1b2c84d0a0e5706143d",
-    (2, 3): "23183d18a10a8d42a556477e2113f33cb2e3262ce7211caadf33014c7923b01f",
-    (7, 2): "d38eb16bccb2437c294d1a7aeea648f72e26d540bdda706b0d2e8a93ff0d9d54",
-    (1, 5): "8f6301587a9d1e9d546fdd0b96746b53aaa2dd4597680e197d35b84c8fa463bb",
+    (1, 2): "efd72edbac35c14e1877ac189f2a5759851d54a53cc40f4799cc60ece41f781a",
+    (2, 2): "ae4de9b077b7dd2ac4642e0404a49ebe8460f3f9fe3669f04fe6d0b9cfd0eff7",
+    (2, 3): "0648f76fcbc0ec4a5267c1367106a8c2a81ceb95dfeafdcb77504665eb00349c",
+    (7, 2): "a3bb168d8bf1f0b8d9483a7430b923d41179041d1e63f223f2a9e7ad96c66950",
+    (1, 5): "61c483f5df17a4b802cdc5bf5ff998e712962f1b6bef5f0ac8d791813a2796a4",
     (3, 3): "865cedbd71fcea2605d7d39c89cdfa147dc38428d6a6aa97fbbbc256ad8ee613",
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -677,3 +678,24 @@ def test_verify_fuzz_rejects_mutations(real_certificates, source, mutation,
 def test_preamble_states_closure_reading(torus):
     cert = certify.certify_thm9(torus)
     assert "kernel" in cert.preamble and "quotient" in cert.preamble
+
+
+# sha256 of certify_thm9 and certify_thm10 to_json(): the bytes a certificate
+# file holds stay the same when the generator tables change representative
+FROZEN_CERTIFICATES = {
+    (1, 2): ("3e59a2257cb81eb17b97da1257426f5c88b98011414ebba4378cfbf43a5288f5",
+             "6a067ccfa5120527dfff19a5ff63d94283251a3d65e874a432f9fb3440b36377"),
+    (2, 2): ("e4220d143a0c5108e44299748f1d6250dfda05adecb96170663d39dde6d4902a",
+             "f2db55b07bd7775fe5a139b3f989dd6fe2cd4efc6d5686d24e4a77890d64eff1"),
+    (2, 3): ("2cd5c1fc43d504aa65596fb75eb6c4570f1791c8cb070592c96c864a29278302",
+             "3b01ee7e6b606b7d4322418418c28b8c7e8f42e7c398d52a25f1da86a62dbac2"),
+}
+
+
+@pytest.mark.parametrize("gp", sorted(FROZEN_CERTIFICATES),
+                         ids=lambda gp: f"g{gp[0]}p{gp[1]}")
+def test_certificates_frozen(gp):
+    m = build(*gp)
+    got = tuple(hashlib.sha256(make(m).to_json().encode()).hexdigest()
+                for make in (certify.certify_thm9, certify.certify_thm10))
+    assert got == FROZEN_CERTIFICATES[gp]

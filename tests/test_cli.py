@@ -80,6 +80,16 @@ def test_parse_error_offsets():
         parse_word("T^0")
 
 
+def test_parse_error_offsets_count_utf8_bytes():
+    # the Arabic-Indic digit three takes two bytes, so Q starts at byte 5
+    with pytest.raises(WordSyntaxError,
+                       match=r"unknown generator 'Q'; vocabulary: B at byte 5$"):
+        parse_word("B^\u0663 Q(", names=["B"])
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word("B^\U0001d7d0 \u2192")
+    assert exc.value.offset == 7
+
+
 def test_parse_vocabulary_gate():
     names = ("A1", "B", "T")
     assert parse_word("A1 B", names=names)

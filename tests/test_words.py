@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcg._tables import _short
 from mcg.words import (
     AutPair,
     _Pending,
@@ -429,3 +430,43 @@ def test_deep_pending_chain_forces_without_recursion():
         left = compose(ti if k % 2 else t, left)
     ident = identity_aut(3).bwd
     assert right.bwd == ident and left.bwd == ident
+
+
+# ---------------------------------------------------------------------------
+# short inner representatives
+
+
+def table_length(f):
+    return sum(map(len, f.fwd))
+
+
+def test_short_frozen():
+    # x -> (1 2) x (1 2)^-1 shortens to the identity in two steps
+    assert _short(ad_aut(RANK, (1, 2))).fwd == identity_aut(RANK).fwd
+    # a table no letter shortens comes back as it is
+    t = transvection()
+    assert _short(t) is t
+    # ad(3) cancels five letters and adds one; after it no letter shortens
+    f = compose(ad_aut(3, (-3,)), elementary_transvection(3, 1, 3, 1))
+    assert f.fwd == ((-3, 1, 3, 3), (-3, 2, 3), (3,))
+    s = _short(f)
+    assert s.fwd == ((1, 3), (2,), (3,))
+    assert type(s._bwd) is _Pending and s.bwd == ((1, -3), (2,), (3,))
+
+
+@settings(max_examples=200)
+@given(automorphisms)
+def test_short_is_a_short_inner_representative(f):
+    s = _short(f)
+    # the same outer class, with mutually inverse tables
+    assert inner_witness(s, f) is not None
+    assert make_aut(s.fwd, s.bwd) == s
+    assert table_length(s) <= table_length(f)
+    # idempotent, and no single letter shortens it
+    assert _short(s).fwd == s.fwd
+    letters = [c for c in range(-RANK, RANK + 1) if c]
+    for c in letters:
+        assert table_length(compose(ad_aut(RANK, (c,)), s)) >= table_length(s)
+    # at most one letter shortens f, so the descent has no ties to break
+    assert sum(table_length(compose(ad_aut(RANK, (c,)), f)) < table_length(f)
+               for c in letters) <= 1
